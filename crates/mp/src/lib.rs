@@ -1,23 +1,46 @@
-//! Message-passing substrate and two executable backends for program MB (§5).
+//! Message-passing substrate: two process cores × three media over one
+//! transport seam (§5, and §5 generalized to the topologies of §4.2).
 //!
-//! The core crate proves MB's structure (local copies ≅ a 2(N+1)-position
-//! ring). This crate *runs* it, twice, against one transport abstraction
-//! ([`transport::Endpoint`]) and one per-process state machine
-//! ([`proc::MbCore`]):
+//! The core crate proves the structure (own variables + local copies of what
+//! the guards read). This crate *runs* it. A program is a per-process state
+//! machine that knows no transport and no clock — a [`proc::Process`]:
 //!
-//! * [`mb`] — real `std::thread` processes connected by channels that lose,
-//!   duplicate, reorder, and detectably corrupt messages ([`channel`]), with
+//! * [`proc::MbCore`] — program MB on the ring: `sn.j, cp.j, ph.j` plus a
+//!   copy of the predecessor's;
+//! * [`sweep_core::SweepCore`] — the sweep program on any
+//!   [`SweepDag`](ftbarrier_topology::SweepDag) (ring, trees, two-ring,
+//!   dissemination, hypercube, butterfly): own positions plus copies of the
+//!   neighbours', evaluating the verified `SweepBarrier` guards.
+//!
+//! Every core is pumped by the same [`proc::pump`] through the same seam,
+//! [`transport::Endpoint`] — a process's port, fanning out on every outgoing
+//! link and draining every incoming one — so either runs on every medium:
+//!
+//! | | [`proc::MbCore`] | [`sweep_core::SweepCore`] |
+//! |---|---|---|
+//! | threads + faulty channels ([`threaded`], [`channel`], [`clock`]) | [`mb`] | [`sweep_mp`] |
+//! | simulated network ([`simnet`]) | [`mb_sim`] | [`sweep_sim`] |
+//! | TCP sockets ([`socket`]) | [`mb::spawn_on`] over a [`socket_ring`] | — (no socket mesh yet) |
+//!
+//! * threaded — real `std::thread` processes connected by links that lose,
+//!   duplicate, reorder, and detectably corrupt messages, with
 //!   retransmission/deadline timing routed through a [`clock::Clock`] so
-//!   tests can drive a threaded run on virtual time;
-//! * [`mb_sim`] — the same program on a seeded discrete-event simulated
-//!   network ([`simnet`]): virtual time, per-link latency models, scheduled
-//!   fault plans (loss, duplication, reordering, detectable corruption, link
-//!   partitions with healing, process crash/reboot), byte-for-byte
-//!   replayable from one seed;
-//! * [`socket`] — the same program over length-prefixed TCP sockets between
-//!   OS processes: non-blocking framed reads, checksummed payloads, in-frame
-//!   causal tags, and reconnect-with-backoff so a peer crash degrades to
-//!   the detectable loss the protocol already masks.
+//!   tests can drive a run on virtual time; [`mb`] and [`sweep_mp`] are
+//!   configuration/report/handle façades over the one driver;
+//! * simulated — the same cores on a seeded discrete-event network: virtual
+//!   time, per-link latency models, scheduled fault plans (loss,
+//!   duplication, reordering, detectable corruption, forgery, and for MB
+//!   link partitions with healing, crash/reboot and membership churn),
+//!   byte-for-byte replayable from one seed; the two modules keep only
+//!   scheduling;
+//! * socket — length-prefixed TCP between OS processes: non-blocking framed
+//!   reads, checksummed payloads, in-frame causal tags, and
+//!   reconnect-with-backoff so a peer crash degrades to the detectable loss
+//!   the protocol already masks.
+//!
+//! Every backend logs control-position changes as [`proc::CpEvent`]s on one
+//! run-global sequence counter and replays the merged log through the
+//! barrier specification oracle with [`telemetry::replay`].
 
 pub mod channel;
 pub mod clock;
@@ -26,9 +49,11 @@ pub mod mb_sim;
 pub mod proc;
 pub mod simnet;
 pub mod socket;
+pub mod sweep_core;
 pub mod sweep_mp;
 pub mod sweep_sim;
 pub mod telemetry;
+pub mod threaded;
 pub mod transport;
 
 pub use channel::{ChannelFaults, Delivery, FaultyReceiver, FaultySender};
@@ -37,10 +62,11 @@ pub use mb::{MbConfig, MbProcessHandle, MbReport, MbRun};
 pub use mb_sim::{
     ChurnConfig, CrashPlan, FaultPlan, PartitionPlan, SimMbConfig, SimMbReport, WireMsg,
 };
-pub use proc::{sn_domain, try_sn_domain, MbCore, StateMsg};
+pub use proc::{sn_domain, try_sn_domain, MbCore, Process, StateMsg};
 pub use simnet::{LatencyModel, LinkConfig, NetStats, SimNet};
 pub use socket::{connect_endpoint, socket_ring, FrameReader, SocketEndpoint};
+pub use sweep_core::{subscriptions, PosMsg, SweepCore};
 pub use sweep_mp::{SweepMpConfig, SweepMpHandle, SweepMpReport, SweepMpRun};
 pub use sweep_sim::{SweepSimConfig, SweepSimReport};
 pub use telemetry::record_cp_timeline;
-pub use transport::{channel_ring, ChannelEndpoint, Endpoint};
+pub use transport::{channel_mesh, channel_ring, ChannelEndpoint, Endpoint};

@@ -1,13 +1,12 @@
 //! Executable program MB: real threads, real (faulty) channels.
 //!
 //! Each process `j` runs §5's refined program via the shared
-//! [`MbCore`](crate::proc::MbCore) state machine: it owns `sn.j, cp.j, ph.j`
+//! [`MbCore`] state machine: it owns `sn.j, cp.j, ph.j`
 //! plus a local copy of `sn.(j-1), cp.(j-1), ph.(j-1)`, updated only from
-//! messages whose sequence number is ordinary. Processes gossip their state
-//! to their successor on every change and on a retransmission tick, which
-//! masks message loss/duplication/reordering/detectable-corruption exactly
-//! as the guarded-command formulation assumes ("j can read the state of
-//! j-1 at any time").
+//! messages whose sequence number is ordinary. This module is the façade —
+//! configuration, report, fault handle; the thread loop is the shared
+//! [`crate::threaded`] driver, which gossips each process's state to its
+//! successor on every change and on a retransmission tick.
 //!
 //! All timing — the retransmission period and the run deadline — flows
 //! through a [`Clock`], so tests can drive a threaded run on virtual time
@@ -21,15 +20,13 @@
 
 use crate::channel::ChannelFaults;
 use crate::clock::{Clock, WallClock};
-use crate::proc::{pump, sn_domain, CpEvent, MbCore};
+use crate::proc::{sn_domain, MbCore};
+use crate::threaded::{self, flags, Fault, Flags, Run, Spec, Work};
 use crate::transport::{channel_ring, Endpoint};
-use ftbarrier_core::spec::{Anchor, BarrierOracle, OracleConfig, Violation};
 use ftbarrier_gcs::{SimRng, Time};
 use ftbarrier_telemetry::{CausalRecorder, Telemetry};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Configuration of a threaded MB run. Times are in [`Time`] units — seconds
 /// under the default [`WallClock`], virtual units under a test clock.
@@ -47,7 +44,7 @@ pub struct MbConfig {
     /// Gossip retransmission period (masks message loss).
     pub retransmit_every: Time,
     /// Per-phase workload; `None` means an empty phase body.
-    pub work: Option<Arc<dyn Fn(usize, u32) + Send + Sync>>,
+    pub work: Work,
     /// Clock-time safety limit.
     pub deadline: Time,
     /// Observability sink (disabled by default). Recorded post-run from the
@@ -81,33 +78,14 @@ impl Default for MbConfig {
 }
 
 /// Result of an MB run.
-#[derive(Debug)]
-pub struct MbReport {
-    /// Genuine phase advances observed at the root.
-    pub root_phase_advances: u64,
-    /// Specification violations found by replaying the event log through
-    /// the oracle.
-    pub violations: Vec<Violation>,
-    /// Successful phases per the oracle.
-    pub phases_completed: u64,
-    /// Instances consumed per successful phase.
-    pub instance_counts: Vec<u64>,
-    /// Messages sent per process (including retransmissions).
-    pub messages_sent: Vec<u64>,
-    pub elapsed: Duration,
-    /// Whether the run hit its target (vs. the deadline).
-    pub reached_target: bool,
-    /// Flight-recorder dump of the recent causal events (replayable JSON),
-    /// written when the run hit its deadline instead of its target.
-    pub flight_dump: Option<String>,
-}
+pub use crate::threaded::Report as MbReport;
 
 /// Handle for injecting faults into a running MB system.
 #[derive(Clone)]
 pub struct MbProcessHandle {
-    poison: Arc<Vec<AtomicBool>>,
-    scramble: Arc<Vec<AtomicBool>>,
-    mute: Arc<Vec<AtomicBool>>,
+    poison: Flags,
+    scramble: Flags,
+    mute: Flags,
 }
 
 impl MbProcessHandle {
@@ -130,18 +108,10 @@ impl MbProcessHandle {
 }
 
 /// A running MB system.
-pub struct MbRun {
-    threads: Vec<JoinHandle<(Vec<CpEvent>, u64)>>,
-    handle: MbProcessHandle,
-    stop: Arc<AtomicBool>,
-    root_advances: Arc<AtomicU64>,
-    started: Instant,
-    config: MbConfig,
-    recorder: CausalRecorder,
-}
+pub type MbRun = Run<MbCore, MbProcessHandle>;
 
 /// Spawn an MB system on faulty crossbeam channels and the wall clock. Use
-/// [`MbRun::handle`] to inject faults, then [`MbRun::join`] to collect the
+/// [`Run::handle`] to inject faults, then [`MbRun::join`] to collect the
 /// report.
 pub fn spawn(config: MbConfig) -> MbRun {
     let faults = config.faults;
@@ -160,7 +130,6 @@ pub fn spawn_on<E: Endpoint + Send + 'static>(
 ) -> MbRun {
     assert!(config.n >= 2, "MB needs at least two processes");
     assert!(config.n_phases >= 2);
-    assert_eq!(endpoints.len(), config.n, "one endpoint per process");
     let n = config.n;
     let l = match config.sn_domain {
         Some(l) => crate::proc::try_sn_domain(n, l).expect("MbConfig.sn_domain"),
@@ -168,199 +137,58 @@ pub fn spawn_on<E: Endpoint + Send + 'static>(
     };
     let mut rng = SimRng::seed_from_u64(config.seed ^ 0xC0DE);
     let seq = Arc::new(AtomicU64::new(0));
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let root_advances = Arc::new(AtomicU64::new(0));
-    let poison: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
-    let scramble: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
-    let mute: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
-    let started = Instant::now();
     // The always-on flight recorder: one bounded ring shared by every
     // process thread (events interleave in global commit order).
     let recorder = CausalRecorder::bounded(config.flight_capacity);
-
-    let mut threads = Vec::with_capacity(n);
-    for (pid, mut ep) in endpoints.into_iter().enumerate() {
-        let stop = Arc::clone(&stop);
-        let root_advances = Arc::clone(&root_advances);
-        let poison = Arc::clone(&poison);
-        let scramble = Arc::clone(&scramble);
-        let mute = Arc::clone(&mute);
-        let clock = Arc::clone(&clock);
-        let seed = rng.next_u64();
-        let seq = Arc::clone(&seq);
-        let config = config.clone();
-        let recorder = recorder.clone();
-        threads.push(std::thread::spawn(move || {
-            let mut core = MbCore::new(pid, config.n_phases, l, seed, seq);
-            core.recorder = recorder;
-            let mut last_gossip = clock.now();
-            core.events.reserve(256);
-            let mut sent = 0u64;
-            let gossip = |core: &MbCore, ep: &mut E, sent: &mut u64| {
-                *sent += 1;
-                ep.send_tagged(core.own, core.causal_tag());
-            };
-            gossip(&core, &mut ep, &mut sent);
-            let mut fault_stopped = false;
-            while !stop.load(Ordering::Acquire) {
-                let now = clock.now();
-                if mute[pid].load(Ordering::Acquire) {
-                    // Fail-stop: fall permanently silent. The one-time
-                    // marker is the last event this pid ever records.
-                    if !fault_stopped {
-                        fault_stopped = true;
-                        core.record_fail_stop(now);
-                    }
-                    if now > config.deadline {
-                        stop.store(true, Ordering::Release);
-                    }
-                    std::thread::yield_now();
-                    continue;
-                }
-                if poison[pid].swap(false, Ordering::AcqRel) {
-                    core.apply_poison(now);
-                    gossip(&core, &mut ep, &mut sent);
-                }
-                if scramble[pid].swap(false, Ordering::AcqRel) {
-                    core.apply_scramble(now);
-                    gossip(&core, &mut ep, &mut sent);
-                }
-                let mut out = pump(&mut core, &mut ep, now);
-                while core.needs_work() {
-                    // Run the phase body, then let the gated steps fire.
-                    if let Some(work) = &config.work {
-                        work(pid, core.own.ph);
-                    }
-                    let token = core.work_token;
-                    core.complete_work(token);
-                    let more = pump(&mut core, &mut ep, now);
-                    out.moved |= more.moved;
-                    out.advances += more.advances;
-                }
-                if out.advances > 0 {
-                    let total =
-                        root_advances.fetch_add(out.advances, Ordering::AcqRel) + out.advances;
-                    if total >= config.target_phases {
-                        stop.store(true, Ordering::Release);
-                    }
-                }
-                if out.moved {
-                    gossip(&core, &mut ep, &mut sent);
-                    last_gossip = now;
-                } else if now.saturating_sub(last_gossip) >= config.retransmit_every {
-                    // The link went quiet: release any reorder-held message
-                    // and retransmit. The heartbeat event keeps live
-                    // processes visibly fresh in the flight recorder.
-                    ep.flush();
-                    core.record_heartbeat(now);
-                    gossip(&core, &mut ep, &mut sent);
-                    last_gossip = now;
-                } else {
-                    std::thread::yield_now();
-                }
-                if now > config.deadline {
-                    stop.store(true, Ordering::Release);
-                }
-            }
-            (core.events, sent)
-        }));
-    }
-
-    MbRun {
-        threads,
-        handle: MbProcessHandle {
-            poison,
-            scramble,
-            mute,
-        },
-        stop,
-        root_advances,
-        started,
-        config,
+    let cores = (0..n)
+        .map(|pid| {
+            let mut core = MbCore::new(pid, config.n_phases, l, rng.next_u64(), seq.clone());
+            core.recorder = recorder.clone();
+            core
+        })
+        .collect();
+    let handle = MbProcessHandle {
+        poison: flags(n),
+        scramble: flags(n),
+        mute: flags(n),
+    };
+    let faults: Vec<Fault<MbCore>> = vec![
+        (handle.poison.clone(), MbCore::apply_poison),
+        (handle.scramble.clone(), MbCore::apply_scramble),
+    ];
+    let mute = handle.mute.clone();
+    let spec = Spec {
+        program: "mb",
+        n_phases: config.n_phases,
+        target_phases: config.target_phases,
+        retransmit_every: config.retransmit_every,
+        deadline: config.deadline,
+        work: config.work,
         recorder,
-    }
+        telemetry: config.telemetry,
+    };
+    threaded::spawn(cores, endpoints, clock, spec, handle, faults, mute)
 }
 
 impl MbRun {
-    pub fn handle(&self) -> MbProcessHandle {
-        self.handle.clone()
-    }
-
-    /// Genuine phase advances observed at the root so far.
-    pub fn root_phase_advances(&self) -> u64 {
-        self.root_advances.load(Ordering::Acquire)
-    }
-
-    /// Whether the run has stopped (target, deadline, or [`MbRun::stop`]).
-    /// After this returns `true`, [`MbRun::join`] will not block.
-    pub fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
-
-    /// Request an early stop.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-
     /// Wait for completion and replay the merged event log through the
     /// barrier specification oracle.
     pub fn join(self) -> MbReport {
-        let mut events: Vec<CpEvent> = Vec::new();
-        let mut messages_sent = Vec::new();
-        for t in self.threads {
-            let (ev, sent) = t.join().expect("MB process panicked");
-            events.extend(ev);
-            messages_sent.push(sent);
-        }
-        // The shared sequence counter orders the merged log: it respects
-        // per-process program order and message causality even when the
-        // clock is coarse (many events per virtual instant).
-        events.sort_by_key(|e| e.seq);
-
-        let mut oracle = BarrierOracle::new(OracleConfig {
-            n_processes: self.config.n,
-            n_phases: self.config.n_phases,
-            anchor: Anchor::StrictFromZero,
-        });
-        for e in &events {
-            oracle.observe_cp(e.at, e.pid, e.ph, e.old, e.new);
-        }
-        let advances = self.root_advances.load(Ordering::Acquire);
-        if self.config.telemetry.is_enabled() {
+        let telemetry = self.spec.telemetry.clone();
+        let (report, _, events) = self.finish();
+        if telemetry.is_enabled() {
             let end = events.last().map_or(Time::ZERO, |e| e.at);
-            crate::telemetry::record_cp_timeline(&self.config.telemetry, &events, end);
-            for (pid, &sent) in messages_sent.iter().enumerate() {
-                self.config.telemetry.counter(
-                    "mb_messages_sent_total",
-                    &[("pid", &pid.to_string())],
-                    sent,
-                );
+            crate::telemetry::record_cp_timeline(&telemetry, &events, end);
+            for (pid, &sent) in report.messages_sent.iter().enumerate() {
+                telemetry.counter("mb_messages_sent_total", &[("pid", &pid.to_string())], sent);
             }
-            self.config
-                .telemetry
-                .counter("mb_root_phase_advances_total", &[], advances);
+            telemetry.counter(
+                "mb_root_phase_advances_total",
+                &[],
+                report.root_phase_advances,
+            );
         }
-        let reached_target = advances >= self.config.target_phases;
-        let flight_dump = if reached_target {
-            None
-        } else {
-            Some(
-                self.recorder
-                    .snapshot()
-                    .to_flight_json("mb", self.config.n, "wedge", "deadline"),
-            )
-        };
-        MbReport {
-            root_phase_advances: advances,
-            violations: oracle.violations().to_vec(),
-            phases_completed: oracle.phases_completed(),
-            instance_counts: oracle.instance_counts().to_vec(),
-            messages_sent,
-            elapsed: self.started.elapsed(),
-            reached_target,
-            flight_dump,
-        }
+        report
     }
 }
 

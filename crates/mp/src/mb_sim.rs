@@ -49,11 +49,12 @@
 //! is — the check draws no randomness and writes no trace unless it acts.
 
 use crate::channel::Delivery;
-use crate::proc::{pump, sn_domain, try_sn_domain, CpEvent, MbCore, StateMsg};
+use crate::proc::{pump, sn_domain, try_sn_domain, CpEvent, MbCore, Process, StateMsg};
 use crate::simnet::{LinkConfig, NetStats, SimNet};
+use crate::telemetry::replay_segments;
 use crate::transport::Endpoint;
-use ftbarrier_core::spec::{Anchor, BarrierOracle, OracleConfig, Violation};
-use ftbarrier_core::{Cp, DomainError, Sn};
+use ftbarrier_core::spec::Violation;
+use ftbarrier_core::{DomainError, Sn};
 use ftbarrier_gcs::{SimRng, Time};
 use ftbarrier_telemetry::{names, CausalRecorder, EventId, Telemetry};
 use ftbarrier_topology::Membership;
@@ -297,14 +298,6 @@ pub struct SimEndpoint {
 }
 
 impl Endpoint for SimEndpoint {
-    fn send(&mut self, msg: StateMsg) -> bool {
-        self.send_tagged(msg, None)
-    }
-
-    fn try_recv(&mut self) -> Option<Delivery<StateMsg>> {
-        self.try_recv_tagged().map(|(d, _)| d)
-    }
-
     fn flush(&mut self) -> bool {
         self.net.borrow_mut().flush(self.out_link);
         true
@@ -407,18 +400,16 @@ impl Driver {
     }
 
     fn gossip(&mut self, pid: usize) {
-        self.messages_sent[pid] += 1;
-        let msg = self.cores[pid].own;
-        let tag = self.cores[pid].causal_tag();
-        self.eps[pid].send_tagged(msg, tag);
+        self.messages_sent[pid] += self.cores[pid].gossip(&mut self.eps[pid]);
     }
 
     /// Pump `pid` to quiescence, gossiping on movement and handling the
     /// phase-body gate (instant when `phase_cost == 0`, a scheduled timer
     /// otherwise).
     fn drive(&mut self, pid: usize) {
+        let now = self.now;
         loop {
-            let out = pump(&mut self.cores[pid], &mut self.eps[pid], self.now);
+            let out = pump(&mut self.cores[pid], &mut self.eps[pid], || now);
             self.advances += out.advances;
             if out.moved {
                 self.gossip(pid);
@@ -737,60 +728,6 @@ impl Driver {
     }
 }
 
-/// Replay the merged event log through the barrier specification oracle,
-/// one oracle per membership segment. With a single segment (no
-/// reconfiguration) this is the classic whole-run strict replay. After a
-/// reconfiguration the instance straddling the boundary is exempt (§4.1
-/// allows the in-flight phase to be re-executed); the oracle re-attaches at
-/// the first fresh instance the root opens in the new view, with membership
-/// pids compacted to the oracle's contiguous process ids.
-fn replay_segments(
-    n_phases: u32,
-    n: usize,
-    events: &[CpEvent],
-    segments: &[(u64, Vec<usize>)],
-) -> (Vec<Violation>, u64, Vec<u64>, u64) {
-    let mut violations = Vec::new();
-    let mut phases = 0u64;
-    let mut counts = Vec::new();
-    let mut phases_last = 0u64;
-    for (i, (from, members)) in segments.iter().enumerate() {
-        let to = segments.get(i + 1).map_or(u64::MAX, |s| s.0);
-        let mut vpid: Vec<Option<usize>> = vec![None; n];
-        for (v, &p) in members.iter().enumerate() {
-            vpid[p] = Some(v);
-        }
-        let mut oracle = BarrierOracle::new(OracleConfig {
-            n_processes: members.len(),
-            n_phases,
-            anchor: if i == 0 {
-                Anchor::StrictFromZero
-            } else {
-                Anchor::Free
-            },
-        });
-        let mut attached = i == 0;
-        for e in events.iter().filter(|e| e.seq >= *from && e.seq < to) {
-            let Some(p) = vpid[e.pid] else { continue };
-            if !attached {
-                // The execute sweep starts at the root, so the root's start
-                // is the first event of any fresh instance.
-                if e.pid == 0 && e.new == Cp::Execute {
-                    attached = true;
-                } else {
-                    continue;
-                }
-            }
-            oracle.observe_cp(e.at, p, e.ph, e.old, e.new);
-        }
-        violations.extend(oracle.violations().iter().cloned());
-        phases += oracle.phases_completed();
-        counts.extend_from_slice(oracle.instance_counts());
-        phases_last = oracle.phases_completed();
-    }
-    (violations, phases, counts, phases_last)
-}
-
 /// Run program MB deterministically. Two calls with equal configs return
 /// byte-identical reports (including [`SimMbReport::trace`]).
 pub fn run(cfg: SimMbConfig) -> SimMbReport {
@@ -1026,8 +963,7 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
         events.extend(core.events.iter().copied());
     }
     events.sort_by_key(|e| e.seq);
-    let (violations, phases_completed, instance_counts, phases_after_last_change) =
-        replay_segments(d.cfg.n_phases, n, &events, &d.segments);
+    let replayed = replay_segments(d.cfg.n_phases, n, &events, &d.segments);
     let last_change_at = d.segment_times.last().copied().unwrap_or(0.0);
 
     let epoch = d.membership.as_ref().map_or(0, |m| m.epoch());
@@ -1066,9 +1002,9 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
     };
     SimMbReport {
         root_phase_advances: d.advances,
-        violations,
-        phases_completed,
-        instance_counts,
+        violations: replayed.violations,
+        phases_completed: replayed.phases_completed,
+        instance_counts: replayed.instance_counts,
         messages_sent: d.messages_sent,
         reached_target: reached,
         virtual_elapsed: d.now,
@@ -1081,7 +1017,7 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
         epoch,
         stale_epoch_dropped,
         reconfig_latencies: d.reconfig_latencies,
-        phases_after_last_change,
+        phases_after_last_change: replayed.phases_after_last_change,
         last_change_at,
         cp_events: events,
         flight_dump,

@@ -1,24 +1,28 @@
-//! The program-MB process state machine, backend-independent.
+//! What every per-process state machine shares — the [`Process`] trait, the
+//! generic [`pump`], the [`CpEvent`] log — and the program-MB core itself.
 //!
 //! [`MbCore`] is §5's refined per-process program: process `j` owns
 //! `sn.j, cp.j, ph.j` plus a local copy of `sn.(j-1), cp.(j-1), ph.(j-1)`,
-//! updated only from messages whose sequence number is ordinary. The same
-//! core drives both executable backends:
+//! updated only from messages whose sequence number is ordinary. Its sibling
+//! [`SweepCore`](crate::sweep_core::SweepCore) is the same refinement over an
+//! arbitrary sweep topology. A driver sees either through [`Process`]:
 //!
-//! * the threaded backend (`mb.rs`): one `MbCore` per `std::thread`, real
-//!   crossbeam channels, a [`Clock`](crate::clock::Clock) for retransmission
-//!   and deadline timing;
-//! * the deterministic backend (`mb_sim.rs`): all cores stepped by a
-//!   discrete-event loop over the simulated network, on virtual time.
+//! * the threaded driver (`threaded.rs`): one core per `std::thread`, real
+//!   crossbeam channels or sockets, a [`Clock`](crate::clock::Clock) for
+//!   retransmission and deadline timing;
+//! * the deterministic drivers (`mb_sim.rs`, `sweep_sim.rs`): all cores
+//!   stepped by a discrete-event loop over the simulated network, on virtual
+//!   time.
 //!
 //! Control-position changes are recorded as [`CpEvent`]s carrying the
 //! caller-supplied virtual time plus a globally ordered sequence number, so
-//! the merged event log replays through the [`BarrierOracle`]
-//! (`ftbarrier_core::spec`) in an order that respects both per-process
+//! the merged event log replays through the barrier specification oracle
+//! ([`crate::telemetry::replay`]) in an order that respects both per-process
 //! program order and message causality (a state change is numbered before
 //! the gossip that publishes it).
 
 use crate::channel::Delivery;
+use crate::transport::Endpoint;
 use ftbarrier_core::cp::Cp;
 use ftbarrier_core::sn::Sn;
 use ftbarrier_gcs::{SimRng, Time};
@@ -78,6 +82,59 @@ pub enum Step {
     /// The root's token action fired *and* genuinely advanced the phase
     /// counter after a completed success sweep (not a recovery jump).
     Advanced,
+}
+
+/// Record one happens-before event of `pid`: its predecessors are the
+/// process's own previous event plus the tags of every delivery absorbed
+/// since then (`pending`, drained here).
+#[inline(always)]
+pub(crate) fn record_causal(
+    recorder: &CausalRecorder,
+    pending: &mut Vec<EventId>,
+    pid: usize,
+    label: &str,
+    now: Time,
+    ph: u32,
+) {
+    let mut preds: Vec<EventId> = Vec::with_capacity(pending.len() + 1);
+    preds.extend(recorder.last(pid));
+    preds.append(pending);
+    preds.sort_unstable();
+    preds.dedup();
+    recorder.record(pid, label, now.as_f64(), Some(ph), &preds);
+}
+
+/// A per-process state machine as its driver sees it: [`MbCore`] on the
+/// ring, [`SweepCore`](crate::sweep_core::SweepCore) on any sweep topology.
+/// Everything a driver does to a process — feed it deliveries, fire its
+/// guards, run its phase body, publish its state, mark its liveness — goes
+/// through here, so one threaded loop and one [`pump`] serve both programs.
+pub trait Process {
+    /// What this process gossips through its [`Endpoint`].
+    type Msg;
+
+    /// Fold one delivery into the local copies. Detectably corrupted and
+    /// out-of-domain deliveries are discarded — masked as loss.
+    fn absorb(&mut self, d: Delivery<Self::Msg>, tag: Option<EventId>);
+    /// Fire one enabled guarded command, if any.
+    fn step(&mut self, now: Time) -> Step;
+    /// The phase body must run before the process can move on.
+    fn needs_work(&self) -> bool;
+    /// The phase whose body is pending.
+    fn phase(&self) -> u32;
+    /// The driver ran the pending phase body.
+    fn work_done(&mut self, now: Time);
+    /// Publish the process's own state on its port. Returns the number of
+    /// links it went out on.
+    fn gossip<E: Endpoint<Self::Msg> + ?Sized>(&self, ep: &mut E) -> u64;
+    /// Record a retransmission heartbeat. Liveness marker: a fail-stopped
+    /// process stops heartbeating, so a wedge dump's blame lands on it.
+    fn record_heartbeat(&mut self, now: Time);
+    /// Record the one-time fail-stop marker: the last event a crashed or
+    /// muted process ever contributes, so a wedge dump's blame names it.
+    fn record_fail_stop(&mut self, now: Time);
+    /// The control-position changes recorded so far.
+    fn events(&mut self) -> &mut Vec<CpEvent>;
 }
 
 /// One MB process: §5's variables plus bookkeeping shared by both backends.
@@ -147,24 +204,18 @@ impl MbCore {
         }
     }
 
-    /// Record one happens-before event: predecessors are this process's own
-    /// previous event plus the tags of every delivery absorbed since then.
     fn causal(&mut self, now: Time, label: &str) {
         if !self.recorder.is_enabled() {
             return;
         }
-        let mut preds: Vec<EventId> = Vec::with_capacity(self.pending_tags.len() + 1);
-        preds.extend(self.recorder.last(self.pid));
-        preds.append(&mut self.pending_tags);
-        preds.sort_unstable();
-        preds.dedup();
-        self.recorder
-            .record(self.pid, label, now.as_f64(), Some(self.own.ph), &preds);
-    }
-
-    /// The causal tag for an outgoing gossip: the sender's latest event.
-    pub fn causal_tag(&self) -> Option<EventId> {
-        self.recorder.last(self.pid)
+        record_causal(
+            &self.recorder,
+            &mut self.pending_tags,
+            self.pid,
+            label,
+            now,
+            self.own.ph,
+        );
     }
 
     /// Record a retransmission heartbeat. Liveness marker: a fail-stopped
@@ -386,21 +437,28 @@ pub struct Pumped {
     pub advances: u64,
 }
 
-/// Drain everything pending on `ep`, then fire token actions until no guard
-/// is enabled or the phase body gates progress. Both backends drive their
-/// processes through this single function — the behaviour under either
-/// transport is the same code path.
-pub fn pump<E: crate::transport::Endpoint + ?Sized>(
-    core: &mut MbCore,
+/// Drain everything pending on `ep`, then fire guarded commands until none
+/// is enabled or the phase body gates progress. Every driver pumps every
+/// core through this single function — the behaviour under any transport is
+/// the same code path.
+///
+/// `now` is read *after* a drain that absorbed something (and once at the
+/// start), so an event is never stamped earlier than the send of a delivery
+/// it absorbed — on a live clock a thread can be preempted between reading
+/// the time and draining its port.
+pub fn pump<C: Process + ?Sized, E: Endpoint<C::Msg> + ?Sized>(
+    core: &mut C,
     ep: &mut E,
-    now: Time,
+    mut now: impl FnMut() -> Time,
 ) -> Pumped {
     let mut out = Pumped::default();
+    let mut at = None;
     loop {
         while let Some((d, tag)) = ep.try_recv_tagged() {
-            core.on_delivery_tagged(d, tag);
+            core.absorb(d, tag);
+            at = None;
         }
-        match core.step(now) {
+        match core.step(*at.get_or_insert_with(&mut now)) {
             Step::Idle => break,
             Step::Moved => out.moved = true,
             Step::Advanced => {
@@ -416,6 +474,40 @@ pub fn pump<E: crate::transport::Endpoint + ?Sized>(
         }
     }
     out
+}
+
+impl Process for MbCore {
+    type Msg = StateMsg;
+
+    fn absorb(&mut self, d: Delivery<StateMsg>, tag: Option<EventId>) {
+        self.on_delivery_tagged(d, tag);
+    }
+    fn step(&mut self, now: Time) -> Step {
+        MbCore::step(self, now)
+    }
+    fn needs_work(&self) -> bool {
+        MbCore::needs_work(self)
+    }
+    fn phase(&self) -> u32 {
+        self.own.ph
+    }
+    fn work_done(&mut self, _now: Time) {
+        self.complete_work(self.work_token);
+    }
+    fn gossip<E: Endpoint + ?Sized>(&self, ep: &mut E) -> u64 {
+        // Tagged with the sender's latest causal event.
+        ep.send_tagged(self.own, self.recorder.last(self.pid));
+        1
+    }
+    fn record_heartbeat(&mut self, now: Time) {
+        MbCore::record_heartbeat(self, now);
+    }
+    fn record_fail_stop(&mut self, now: Time) {
+        MbCore::record_fail_stop(self, now);
+    }
+    fn events(&mut self) -> &mut Vec<CpEvent> {
+        &mut self.events
+    }
 }
 
 /// The MB sequence-number domain for `n` processes: `L > 2N+1` with headroom.

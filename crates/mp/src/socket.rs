@@ -448,14 +448,6 @@ impl SocketEndpoint {
 }
 
 impl Endpoint for SocketEndpoint {
-    fn send(&mut self, msg: StateMsg) -> bool {
-        self.send_tagged(msg, None)
-    }
-
-    fn try_recv(&mut self) -> Option<Delivery<StateMsg>> {
-        self.try_recv_tagged().map(|(d, _)| d)
-    }
-
     fn flush(&mut self) -> bool {
         if let Some(body) = self.held.take() {
             self.out.write_frame(&body);

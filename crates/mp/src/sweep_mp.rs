@@ -3,31 +3,32 @@
 //! §4.2, which yields an O(h)-latency message-passing barrier with the same
 //! tolerances.
 //!
-//! Each process thread owns its positions and maintains local copies of
-//! every remote position its guards read (predecessors for RECV,
-//! successors for the T4 repair wave). State changes are gossiped to the
-//! subscribing processes over faulty links, with periodic retransmission —
-//! so message loss, duplication, reordering, and detectable corruption are
-//! all masked, exactly as in [`crate::mb`].
-//!
-//! The *logic* is not re-implemented: the thread evaluates the verified
-//! [`SweepBarrier`] guarded commands against its local view, which is
-//! accurate wherever the guards look (own positions + subscriptions).
+//! Each process thread runs one [`SweepCore`]: it owns its positions and
+//! maintains local copies of every remote position its guards read. State
+//! changes are gossiped to the subscribing processes over faulty links, with
+//! periodic retransmission — so message loss, duplication, reordering, and
+//! detectable corruption are all masked, exactly as in [`crate::mb`], whose
+//! thread loop ([`crate::threaded`]) and [`Clock`] this backend shares. What is
+//! left here is the façade — configuration, report, fault handle — and the
+//! wiring of the gossip mesh.
 
-use crate::channel::{faulty_channel, ChannelFaults, Delivery, FaultyReceiver, FaultySender};
-use ftbarrier_core::cp::Cp;
-use ftbarrier_core::spec::{Anchor, BarrierOracle, OracleConfig, Violation};
-use ftbarrier_core::sweep::{PosState, SweepBarrier, SweepDetectableFault, RECV, T3, T4, T5, WORK};
-use ftbarrier_gcs::{FaultAction, Protocol, SimRng, Time};
-use ftbarrier_telemetry::{CausalRecorder, EventId};
-use ftbarrier_topology::{Pos, SweepDag};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::channel::ChannelFaults;
+use crate::clock::{Clock, WallClock};
+use crate::sweep_core::{subscriptions, PosMsg, SweepCore};
+use crate::threaded::{self, flags, Fault, Flags, Run, Spec, Work};
+use crate::transport::{channel_mesh, Endpoint};
+use ftbarrier_core::spec::Violation;
+use ftbarrier_core::sweep::SweepBarrier;
+use ftbarrier_gcs::{SimRng, Time};
+use ftbarrier_telemetry::{CausalRecorder, Telemetry};
+use ftbarrier_topology::SweepDag;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Configuration of a message-passing sweep run.
+/// Configuration of a message-passing sweep run. The two durations are read
+/// off the run's [`Clock`]: seconds under the default [`WallClock`], virtual
+/// units under a test clock.
 #[derive(Clone)]
 pub struct SweepMpConfig {
     pub n_phases: u32,
@@ -37,7 +38,7 @@ pub struct SweepMpConfig {
     pub retransmit_every: Duration,
     pub deadline: Duration,
     /// Per-phase workload, called as `(pid, phase)`.
-    pub work: Option<Arc<dyn Fn(usize, u32) + Send + Sync>>,
+    pub work: Work,
     /// Capacity of the always-on causal flight recorder (recent events
     /// kept per run; older ones are evicted and counted).
     pub flight_capacity: usize,
@@ -71,32 +72,16 @@ pub struct SweepMpReport {
     /// Flight-recorder dump of the recent causal events (replayable JSON),
     /// written when the run hit its deadline instead of its target.
     pub flight_dump: Option<String>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PosMsg {
-    pos: Pos,
-    state: PosState,
-    /// The sender's latest causal event when this state was gossiped: the
-    /// exact happens-before delivery edge, riding inside the payload so
-    /// duplication copies it and corruption withholds it.
-    tag: Option<EventId>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CpEvent {
-    at: Duration,
-    pid: usize,
-    ph: u32,
-    old: Cp,
-    new: Cp,
+    /// Deliveries discarded because no honest neighbour can have sent them
+    /// (see [`SweepCore::forged_dropped`]), summed over the processes.
+    pub forged_dropped: u64,
 }
 
 /// Fault-injection handle.
 #[derive(Clone)]
 pub struct SweepMpHandle {
-    poison: Arc<Vec<AtomicBool>>,
-    mute: Arc<Vec<AtomicBool>>,
+    poison: Flags,
+    mute: Flags,
 }
 
 impl SweepMpHandle {
@@ -114,315 +99,84 @@ impl SweepMpHandle {
 }
 
 /// A running message-passing sweep system.
-pub struct SweepMpRun {
-    threads: Vec<JoinHandle<(Vec<CpEvent>, u64)>>,
-    handle: SweepMpHandle,
-    stop: Arc<AtomicBool>,
-    root_advances: Arc<AtomicU64>,
-    started: Instant,
-    n_processes: usize,
-    n_phases: u32,
-    target_phases: u64,
-    recorder: CausalRecorder,
+pub type SweepMpRun = Run<SweepCore, SweepMpHandle>;
+
+/// Spawn one thread per process over the given topology, on faulty
+/// crossbeam channels and the wall clock.
+pub fn spawn(dag: SweepDag, config: SweepMpConfig) -> SweepMpRun {
+    let mut rng = SimRng::seed_from_u64(config.seed);
+    let endpoints = channel_mesh(
+        dag.num_processes(),
+        subscriptions(&dag),
+        config.faults,
+        &mut rng,
+    );
+    spawn_on(dag, config, endpoints, Arc::new(WallClock::start()))
 }
 
-/// Spawn one thread per process over the given topology.
-pub fn spawn(dag: SweepDag, config: SweepMpConfig) -> SweepMpRun {
+/// Spawn a sweep system on caller-provided ports (one per process, linked
+/// as [`subscriptions`] of `dag` says — see [`channel_mesh`]) and an explicit
+/// clock, mirroring [`crate::mb::spawn_on`].
+pub fn spawn_on<E: Endpoint<PosMsg> + Send + 'static>(
+    dag: SweepDag,
+    config: SweepMpConfig,
+    endpoints: Vec<E>,
+    clock: Arc<dyn Clock>,
+) -> SweepMpRun {
     let program = Arc::new(SweepBarrier::new(dag, config.n_phases));
-    let dag = program.dag();
-    let n = dag.num_processes();
-    let mut rng = SimRng::seed_from_u64(config.seed);
-
-    // Subscriptions: process `pid` needs every remote position its guards
-    // read — predecessors and successors of each owned position.
-    let mut needs: Vec<BTreeSet<Pos>> = vec![BTreeSet::new(); n];
-    for (pid, need) in needs.iter_mut().enumerate() {
-        for &p in dag.positions_of(pid) {
-            for &q in dag.preds(p).iter().chain(dag.succs(p)) {
-                if dag.owner(q) != pid {
-                    need.insert(q);
-                }
-            }
-        }
-    }
-    // One faulty link per (producer process → consumer process) pair.
-    let mut subscribers: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for (pid, need) in needs.iter().enumerate() {
-        for &q in need {
-            subscribers[dag.owner(q)].insert(pid);
-        }
-    }
-    let mut senders: BTreeMap<(usize, usize), FaultySender<PosMsg>> = BTreeMap::new();
-    let mut receivers: Vec<Vec<FaultyReceiver<PosMsg>>> = (0..n).map(|_| Vec::new()).collect();
-    for (from, subs) in subscribers.iter().enumerate() {
-        for &to in subs {
-            let (tx, rx) = faulty_channel(config.faults, rng.next_u64());
-            senders.insert((from, to), tx);
-            receivers[to].push(rx);
-        }
-    }
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let root_advances = Arc::new(AtomicU64::new(0));
-    let poison: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
-    let mute: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
-    let started = Instant::now();
+    let n = program.dag().num_processes();
+    let links = subscriptions(program.dag());
+    let mut rng = SimRng::seed_from_u64(config.seed ^ 0xC0DE);
+    let seq = Arc::new(AtomicU64::new(0));
     // The always-on flight recorder: one bounded ring shared by every
     // process thread (events interleave in global commit order).
     let recorder = CausalRecorder::bounded(config.flight_capacity);
-
-    let mut threads = Vec::with_capacity(n);
-    for pid in 0..n {
-        let program = Arc::clone(&program);
-        let owned: Vec<Pos> = program.dag().positions_of(pid).to_vec();
-        let my_subscribers: Vec<usize> = subscribers[pid].iter().copied().collect();
-        let mut my_senders: Vec<FaultySender<PosMsg>> = my_subscribers
-            .iter()
-            .map(|&to| senders.remove(&(pid, to)).expect("sender exists"))
-            .collect();
-        let my_receivers = std::mem::take(&mut receivers[pid]);
-        let stop = Arc::clone(&stop);
-        let root_advances = Arc::clone(&root_advances);
-        let poison = Arc::clone(&poison);
-        let mute = Arc::clone(&mute);
-        let recorder = recorder.clone();
-        let seed = rng.next_u64();
-        let config = config.clone();
-        threads.push(std::thread::spawn(move || {
-            let mut rng = SimRng::seed_from_u64(seed);
-            let mut view: Vec<PosState> = program.initial_state();
-            let mut events: Vec<CpEvent> = Vec::new();
-            let mut sent = 0u64;
-            // Causal tags of deliveries absorbed since the last recorded
-            // event; drained into that event's predecessor list.
-            let mut pending: Vec<EventId> = Vec::new();
-            let worker_pos = program.worker_position(pid);
-            let detect = SweepDetectableFault {
-                n_phases: program.n_phases,
-            };
-
-            let record_causal =
-                |recorder: &CausalRecorder, pending: &mut Vec<EventId>, label: &str, ph: u32| {
-                    let mut preds: Vec<EventId> = Vec::with_capacity(pending.len() + 1);
-                    preds.extend(recorder.last(pid));
-                    preds.append(pending);
-                    preds.sort_unstable();
-                    preds.dedup();
-                    recorder.record(
-                        pid,
-                        label,
-                        started.elapsed().as_secs_f64(),
-                        Some(ph),
-                        &preds,
-                    );
-                };
-
-            let gossip = |view: &[PosState],
-                          senders: &mut [FaultySender<PosMsg>],
-                          owned: &[Pos],
-                          tag: Option<EventId>,
-                          sent: &mut u64| {
-                for tx in senders.iter_mut() {
-                    for &p in owned {
-                        tx.send(PosMsg {
-                            pos: p,
-                            state: view[p],
-                            tag,
-                        });
-                    }
-                    tx.flush();
-                    *sent += 1;
-                }
-            };
-
-            gossip(&view, &mut my_senders, &owned, None, &mut sent);
-            let mut last_gossip = Instant::now();
-            let mut fault_stopped = false;
-            while !stop.load(Ordering::Acquire) {
-                if mute[pid].load(Ordering::Acquire) {
-                    // Fail-stop: fall permanently silent. The one-time
-                    // marker is the last event this pid ever records.
-                    if !fault_stopped {
-                        fault_stopped = true;
-                        record_causal(&recorder, &mut pending, "fault:stop", view[worker_pos].ph);
-                    }
-                    if started.elapsed() > config.deadline {
-                        stop.store(true, Ordering::Release);
-                    }
-                    std::thread::yield_now();
-                    continue;
-                }
-                if poison[pid].swap(false, Ordering::AcqRel) {
-                    for &p in &owned {
-                        let old = view[p].cp;
-                        detect.apply(pid, &mut view[p], &mut rng);
-                        if p == worker_pos && old != view[p].cp {
-                            events.push(CpEvent {
-                                at: started.elapsed(),
-                                pid,
-                                ph: view[p].ph,
-                                old,
-                                new: view[p].cp,
-                            });
-                        }
-                    }
-                    record_causal(
-                        &recorder,
-                        &mut pending,
-                        "fault:detectable",
-                        view[worker_pos].ph,
-                    );
-                    gossip(
-                        &view,
-                        &mut my_senders,
-                        &owned,
-                        recorder.last(pid),
-                        &mut sent,
-                    );
-                }
-                // Absorb incoming state (detectably corrupted deliveries are
-                // discarded — masked as loss and healed by retransmission).
-                for rx in &my_receivers {
-                    while let Some(d) = rx.try_recv() {
-                        if let Delivery::Ok(m) = d {
-                            view[m.pos] = m.state;
-                            if let Some(id) = m.tag {
-                                pending.push(id);
-                            }
-                        }
-                    }
-                }
-                // Evaluate the verified guarded commands on the local view.
-                let mut moved = false;
-                for &p in &owned {
-                    for action in [RECV, WORK, T3, T4, T5] {
-                        if !program.enabled(&view, p, action) {
-                            continue;
-                        }
-                        if action == WORK {
-                            if let Some(work) = &config.work {
-                                work(pid, view[p].ph);
-                            }
-                        }
-                        let old = view[p];
-                        view[p] = program.execute(&view, p, action, &mut rng);
-                        record_causal(
-                            &recorder,
-                            &mut pending,
-                            program.action_name(p, action),
-                            view[p].ph,
-                        );
-                        if p == worker_pos && old.cp != view[p].cp {
-                            events.push(CpEvent {
-                                at: started.elapsed(),
-                                pid,
-                                ph: view[p].ph,
-                                old: old.cp,
-                                new: view[p].cp,
-                            });
-                        }
-                        if p == SweepDag::ROOT && old.ph != view[p].ph {
-                            let total = root_advances.fetch_add(1, Ordering::AcqRel) + 1;
-                            if total >= config.target_phases {
-                                stop.store(true, Ordering::Release);
-                            }
-                        }
-                        moved = true;
-                        break; // re-evaluate guards after each state change
-                    }
-                }
-                if moved || last_gossip.elapsed() >= config.retransmit_every {
-                    if !moved {
-                        // Heartbeat: keeps a live-but-idle process visibly
-                        // fresh in the flight recorder, so a wedge dump's
-                        // blame lands on the process that fell silent.
-                        record_causal(&recorder, &mut pending, "retransmit", view[worker_pos].ph);
-                    }
-                    gossip(
-                        &view,
-                        &mut my_senders,
-                        &owned,
-                        recorder.last(pid),
-                        &mut sent,
-                    );
-                    last_gossip = Instant::now();
-                }
-                if !moved {
-                    std::thread::yield_now();
-                }
-                if started.elapsed() > config.deadline {
-                    stop.store(true, Ordering::Release);
-                }
-            }
-            (events, sent)
-        }));
-    }
-
-    SweepMpRun {
-        threads,
-        handle: SweepMpHandle { poison, mute },
-        stop,
-        root_advances,
-        started,
-        n_processes: n,
+    let cores = (0..n)
+        .map(|pid| {
+            let seed = rng.next_u64();
+            SweepCore::new(
+                program.clone(),
+                pid,
+                &links,
+                seed,
+                seq.clone(),
+                recorder.clone(),
+            )
+        })
+        .collect();
+    let handle = SweepMpHandle {
+        poison: flags(n),
+        mute: flags(n),
+    };
+    let faults: Vec<Fault<SweepCore>> = vec![(handle.poison.clone(), SweepCore::apply_poison)];
+    let mute = handle.mute.clone();
+    let spec = Spec {
+        program: "sweep_mp",
         n_phases: config.n_phases,
         target_phases: config.target_phases,
+        retransmit_every: Time::new(config.retransmit_every.as_secs_f64()),
+        deadline: Time::new(config.deadline.as_secs_f64()),
+        work: config.work,
         recorder,
-    }
+        telemetry: Telemetry::off(),
+    };
+    threaded::spawn(cores, endpoints, clock, spec, handle, faults, mute)
 }
 
 impl SweepMpRun {
-    pub fn handle(&self) -> SweepMpHandle {
-        self.handle.clone()
-    }
-
-    pub fn root_phase_advances(&self) -> u64 {
-        self.root_advances.load(Ordering::Acquire)
-    }
-
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-
     /// Join and replay the merged event log through the oracle.
     pub fn join(self) -> SweepMpReport {
-        let mut events: Vec<CpEvent> = Vec::new();
-        let mut messages_sent = Vec::new();
-        for t in self.threads {
-            let (ev, sent) = t.join().expect("sweep-mp process panicked");
-            events.extend(ev);
-            messages_sent.push(sent);
-        }
-        events.sort_by_key(|e| e.at);
-        let mut oracle = BarrierOracle::new(OracleConfig {
-            n_processes: self.n_processes,
-            n_phases: self.n_phases,
-            anchor: Anchor::StrictFromZero,
-        });
-        for e in &events {
-            oracle.observe_cp(Time::new(e.at.as_secs_f64()), e.pid, e.ph, e.old, e.new);
-        }
-        let advances = self.root_advances.load(Ordering::Acquire);
-        let reached_target = advances >= self.target_phases;
-        let flight_dump = if reached_target {
-            None
-        } else {
-            Some(self.recorder.snapshot().to_flight_json(
-                "sweep_mp",
-                self.n_processes,
-                "wedge",
-                "deadline",
-            ))
-        };
+        let (run, cores, _) = self.finish();
         SweepMpReport {
-            root_phase_advances: advances,
-            violations: oracle.violations().to_vec(),
-            phases_completed: oracle.phases_completed(),
-            instance_counts: oracle.instance_counts().to_vec(),
-            messages_sent,
-            elapsed: self.started.elapsed(),
-            reached_target,
-            flight_dump,
+            root_phase_advances: run.root_phase_advances,
+            violations: run.violations,
+            phases_completed: run.phases_completed,
+            instance_counts: run.instance_counts,
+            messages_sent: run.messages_sent,
+            elapsed: run.elapsed,
+            reached_target: run.reached_target,
+            flight_dump: run.flight_dump,
+            forged_dropped: cores.iter().map(|c| c.forged_dropped).sum(),
         }
     }
 }
@@ -430,6 +184,43 @@ impl SweepMpRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::TestClock;
+
+    /// Spawn on a [`TestClock`]; times in `config` are virtual.
+    fn spawn_virtual(dag: SweepDag, config: SweepMpConfig) -> (SweepMpRun, Arc<TestClock>) {
+        let clock = TestClock::new();
+        let mut rng = SimRng::seed_from_u64(config.seed);
+        let endpoints = channel_mesh(
+            dag.num_processes(),
+            subscriptions(&dag),
+            config.faults,
+            &mut rng,
+        );
+        let run = spawn_on(dag, config, endpoints, clock.clone() as Arc<dyn Clock>);
+        (run, clock)
+    }
+
+    /// Advance the test clock while the worker threads spin, until the run
+    /// stops. No wall-clock timing is asserted.
+    fn drive_virtual(run: &SweepMpRun, clock: &TestClock) {
+        while !run.stopped() {
+            clock.advance(0.01);
+            std::thread::yield_now();
+        }
+    }
+
+    fn virtual_config(faults: ChannelFaults, target_phases: u64, seed: u64) -> SweepMpConfig {
+        SweepMpConfig {
+            target_phases,
+            faults,
+            seed,
+            retransmit_every: Duration::from_millis(50),
+            // Virtual deadline: generous, but guarantees the driver loop
+            // terminates even if progress stalls.
+            deadline: Duration::from_secs(2_000),
+            ..Default::default()
+        }
+    }
 
     #[test]
     fn tree_barrier_over_clean_links() {
@@ -444,19 +235,16 @@ mod tests {
         assert!(report.reached_target, "{report:?}");
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.phases_completed >= 9);
+        assert_eq!(report.forged_dropped, 0);
     }
 
     #[test]
-    fn tree_barrier_over_nasty_links() {
-        let run = spawn(
+    fn tree_barrier_over_nasty_links_on_virtual_time() {
+        let (run, clock) = spawn_virtual(
             SweepDag::tree(8, 2).unwrap(),
-            SweepMpConfig {
-                target_phases: 8,
-                faults: ChannelFaults::nasty(),
-                seed: 0xABBA,
-                ..Default::default()
-            },
+            virtual_config(ChannelFaults::nasty(), 8, 0xABBA),
         );
+        drive_virtual(&run, &clock);
         let report = run.join();
         assert!(report.reached_target, "{report:?}");
         assert!(report.violations.is_empty(), "{:?}", report.violations);
@@ -490,86 +278,42 @@ mod tests {
     }
 
     #[test]
-    fn ring_topology_matches_mb_semantics() {
+    fn lossy_ring_matches_mb_semantics_on_virtual_time() {
         // The generalized runner on a plain ring is RB-over-messages.
-        let run = spawn(
+        let lossy = ChannelFaults {
+            loss: 0.2,
+            ..ChannelFaults::NONE
+        };
+        let (run, clock) = spawn_virtual(
             SweepDag::ring(5).unwrap(),
-            SweepMpConfig {
-                target_phases: 8,
-                faults: ChannelFaults {
-                    loss: 0.2,
-                    ..ChannelFaults::NONE
-                },
-                ..Default::default()
-            },
+            virtual_config(lossy, 8, SweepMpConfig::default().seed),
         );
+        drive_virtual(&run, &clock);
         let report = run.join();
         assert!(report.reached_target, "{report:?}");
         assert!(report.violations.is_empty());
     }
 
     #[test]
-    fn double_tree_and_two_ring_also_run() {
-        for dag in [
-            SweepDag::double_tree(7, 2).unwrap(),
-            SweepDag::two_ring(3, 3).unwrap(),
-        ] {
-            let run = spawn(
-                dag,
-                SweepMpConfig {
-                    target_phases: 6,
-                    ..Default::default()
-                },
-            );
-            let report = run.join();
-            assert!(report.reached_target, "{report:?}");
-            assert!(report.violations.is_empty(), "{:?}", report.violations);
-        }
-    }
-
-    #[test]
-    fn log_depth_topologies_also_run_threaded() {
-        // The subscription derivation turns the grids' per-round partner
-        // schedule into gossip links with no topology-specific code.
-        for dag in [
-            SweepDag::dissemination(4, 2).unwrap(),
-            SweepDag::hypercube(4).unwrap(),
-            SweepDag::butterfly(4).unwrap(),
-        ] {
-            let run = spawn(
-                dag,
-                SweepMpConfig {
-                    target_phases: 6,
-                    ..Default::default()
-                },
-            );
-            let report = run.join();
-            assert!(report.reached_target, "{report:?}");
-            assert!(report.violations.is_empty(), "{:?}", report.violations);
-        }
-    }
-
-    #[test]
     fn muted_process_wedges_the_run_and_is_blamed_in_the_flight_dump() {
         use ftbarrier_telemetry::FlightDump;
-        // Deliberately wedge a wall-clock run: fail-stop a leaf once the
-        // barrier is in steady state. The deadline fires and the dump's
-        // causal graph must end at the culpable process.
-        let run = spawn(
+        // Deliberately wedge a run: fail-stop a leaf once the barrier is in
+        // steady state. The (virtual) deadline fires and the dump's causal
+        // graph must end at the culpable process.
+        let (run, clock) = spawn_virtual(
             SweepDag::tree(4, 2).unwrap(),
             SweepMpConfig {
                 target_phases: 1_000_000,
-                deadline: Duration::from_millis(600),
-                retransmit_every: Duration::from_millis(2),
+                deadline: Duration::from_secs(5),
                 flight_capacity: 1 << 16,
-                ..Default::default()
+                ..virtual_config(ChannelFaults::NONE, 0, 1)
             },
         );
-        let h = run.handle();
         while run.root_phase_advances() < 3 {
             std::thread::yield_now();
         }
-        h.mute(3);
+        run.handle().mute(3);
+        drive_virtual(&run, &clock);
         let report = run.join();
         assert!(!report.reached_target, "{report:?}");
         let dump = report.flight_dump.as_deref().expect("wedged run dumps");

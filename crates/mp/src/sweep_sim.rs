@@ -3,13 +3,12 @@
 //! [`crate::sweep_mp`] backend, on the same simulated network the MB ring
 //! uses ([`crate::simnet`]).
 //!
-//! One link per (producer process → consumer process) pair carries absolute
-//! position-state gossip; each process evaluates the verified
-//! [`SweepBarrier`] guarded commands against its local view, which is
-//! accurate wherever its guards look (own positions + subscriptions). The
-//! per-round partner schedule of the log-depth topologies (dissemination,
-//! hypercube, butterfly) falls out of the subscription derivation — nothing
-//! here is topology-specific.
+//! The processes are the same [`SweepCore`]s the threaded backend runs,
+//! pumped by the same [`pump`]; this module keeps only *scheduling*: the
+//! network-vs-control event loop, the retransmit / poison / mute / forge
+//! timers, and a [`SimNet`]-backed [`Endpoint`] per process (one link per
+//! subscription — which is where the per-round partner schedule of the
+//! log-depth topologies materializes; nothing here is topology-specific).
 //!
 //! One seed determines everything — link latencies and fault draws, the
 //! perturbation values of scheduled poisons, the event interleaving — so a
@@ -17,18 +16,21 @@
 //! with the same config is identical.
 
 use crate::channel::Delivery;
+use crate::proc::{pump, Process};
 use crate::simnet::{LinkConfig, NetStats, SimNet};
-use ftbarrier_core::spec::{Anchor, BarrierOracle, OracleConfig, Violation};
-use ftbarrier_core::sweep::{
-    pos_in_domain, PosState, SweepBarrier, SweepByzantineFault, SweepDetectableFault, RECV, T3, T4,
-    T5, WORK,
-};
-use ftbarrier_gcs::{FaultAction, Protocol, SimRng, Time};
+use crate::sweep_core::{subscriptions, PosMsg, SweepCore};
+use crate::telemetry::replay;
+use crate::transport::{Endpoint, TaggedMsg};
+use ftbarrier_core::spec::Violation;
+use ftbarrier_core::sweep::SweepBarrier;
+use ftbarrier_gcs::{SimRng, Time};
 use ftbarrier_telemetry::{CausalRecorder, EventId};
-use ftbarrier_topology::{Pos, SweepDag};
+use ftbarrier_topology::SweepDag;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fmt::Write as _;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
 /// Configuration of a deterministic sweep run over the simulated network.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,56 +109,66 @@ pub struct SweepSimReport {
     pub flight_dump: Option<String>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PosMsg {
-    pos: Pos,
-    state: PosState,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CpEvent {
-    seq: u64,
-    at: Time,
-    pid: usize,
-    ph: u32,
-    old: ftbarrier_core::Cp,
-    new: ftbarrier_core::Cp,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ctl {
-    Retransmit { pid: usize },
-    Poison { pid: usize },
-    Mute { pid: usize },
-    Forge { pid: usize },
+    Retransmit(usize),
+    Poison(usize),
+    Mute(usize),
+    Forge(usize),
+}
+
+/// A process's port onto the simulated network, alive for one scheduling
+/// step. A gossip burst is staged and goes out on [`Endpoint::flush`], link
+/// by link, and arrivals are read from the one link the scheduler is
+/// delivering — so the order of sends and deliveries, and with it the whole
+/// run, stays a pure function of the seed.
+struct SimPort<'a> {
+    net: &'a mut SimNet<PosMsg>,
+    out_links: &'a [usize],
+    /// The link being delivered (`None` on a control event: every inbox is
+    /// empty then).
+    rx: Option<usize>,
+    staged: &'a mut Vec<TaggedMsg<PosMsg>>,
+}
+
+impl Endpoint<PosMsg> for SimPort<'_> {
+    fn send_tagged(&mut self, msg: PosMsg, tag: Option<EventId>) -> bool {
+        self.staged.push((msg, tag));
+        true
+    }
+
+    fn try_recv_tagged(&mut self) -> Option<(Delivery<PosMsg>, Option<EventId>)> {
+        self.net.pop_inbox_tagged(self.rx?)
+    }
+
+    fn flush(&mut self) -> bool {
+        for &link in self.out_links {
+            for &(msg, tag) in self.staged.iter() {
+                self.net.send_tagged(link, msg, tag);
+            }
+            self.net.flush(link);
+        }
+        self.staged.clear();
+        true
+    }
 }
 
 struct Driver {
-    program: SweepBarrier,
     cfg: SweepSimConfig,
     net: SimNet<PosMsg>,
     ctl: BinaryHeap<Reverse<(Time, u64, Ctl)>>,
     ctl_seq: u64,
     now: Time,
-    /// One local view per process.
-    views: Vec<Vec<PosState>>,
-    rngs: Vec<SimRng>,
+    cores: Vec<SweepCore>,
     /// Outgoing link ids per process, and the consumer behind each link.
     out_links: Vec<Vec<usize>>,
     dest_of: Vec<usize>,
-    worker_pos: Vec<Pos>,
+    /// Backing store of every [`SimPort`]'s staged burst.
+    staged: Vec<TaggedMsg<PosMsg>>,
     messages_sent: Vec<u64>,
-    events: Vec<CpEvent>,
-    seq: u64,
     advances: u64,
     trace: String,
-    /// Always-armed flight recorder of recent causal events.
-    recorder: CausalRecorder,
-    /// Delivery tags observed since the process last recorded an event —
-    /// the exact sends whose state it is now acting on.
-    pending: Vec<Vec<EventId>>,
     muted: Vec<bool>,
-    forged_dropped: u64,
 }
 
 impl Driver {
@@ -166,155 +178,77 @@ impl Driver {
         self.ctl.push(Reverse((Time::new(at), self.ctl_seq, ev)));
     }
 
-    /// Record a causal event for `pid`: program-order predecessor plus any
-    /// delivery tags collected since its previous event.
-    fn record_causal(&mut self, pid: usize, label: &str, phase: u32) {
-        let mut preds: Vec<EventId> = Vec::with_capacity(1 + self.pending[pid].len());
-        if let Some(own) = self.recorder.last(pid) {
-            preds.push(own);
-        }
-        preds.append(&mut self.pending[pid]);
-        preds.sort_unstable();
-        preds.dedup();
-        self.recorder
-            .record(pid, label, self.now.as_f64(), Some(phase), &preds);
-    }
-
-    fn record_cp(&mut self, pid: usize, ph: u32, old: ftbarrier_core::Cp, new: ftbarrier_core::Cp) {
-        self.seq += 1;
-        self.events.push(CpEvent {
-            seq: self.seq,
-            at: self.now,
-            pid,
-            ph,
-            old,
-            new,
-        });
-    }
-
-    /// Gossip every owned position's state on every outgoing link, tagging
-    /// each message with the sender's last causal event so the receiver
-    /// draws an exact delivery edge.
     fn gossip(&mut self, pid: usize) {
         if self.muted[pid] {
             return;
         }
-        let tag = self.recorder.last(pid);
-        for i in 0..self.out_links[pid].len() {
-            let link = self.out_links[pid][i];
-            for &p in self.program.dag().positions_of(pid) {
-                self.net.send_tagged(
-                    link,
-                    PosMsg {
-                        pos: p,
-                        state: self.views[pid][p],
-                    },
-                    tag,
-                );
-            }
-            self.net.flush(link);
-            self.messages_sent[pid] += 1;
-        }
+        let mut port = SimPort {
+            net: &mut self.net,
+            out_links: &self.out_links[pid],
+            rx: None,
+            staged: &mut self.staged,
+        };
+        self.messages_sent[pid] += self.cores[pid].gossip(&mut port);
     }
 
-    /// Evaluate the verified guarded commands on `pid`'s local view until no
-    /// owned position can move, then gossip if anything changed.
-    fn drive(&mut self, pid: usize) {
+    /// Absorb what arrived on `rx` and fire `pid`'s guarded commands until
+    /// none can move, then gossip if anything changed.
+    fn drive(&mut self, pid: usize, rx: Option<usize>) {
         if self.muted[pid] {
+            // A fail-stopped process loses its inbound traffic.
+            while rx.is_some_and(|link| self.net.pop_inbox(link).is_some()) {}
             return;
         }
-        let owned: Vec<Pos> = self.program.dag().positions_of(pid).to_vec();
-        let worker = self.worker_pos[pid];
-        let mut moved_any = false;
+        let now = self.now;
+        let core = &mut self.cores[pid];
+        let mut port = SimPort {
+            net: &mut self.net,
+            out_links: &self.out_links[pid],
+            rx,
+            staged: &mut self.staged,
+        };
+        let mut moved = false;
         loop {
-            let mut moved = false;
-            for &p in &owned {
-                for action in [RECV, WORK, T3, T4, T5] {
-                    if !self.program.enabled(&self.views[pid], p, action) {
-                        continue;
-                    }
-                    let old = self.views[pid][p];
-                    self.views[pid][p] =
-                        self.program
-                            .execute(&self.views[pid], p, action, &mut self.rngs[pid]);
-                    let new = self.views[pid][p];
-                    self.record_causal(pid, self.program.action_name(p, action), new.ph);
-                    if p == worker && old.cp != new.cp {
-                        self.record_cp(pid, new.ph, old.cp, new.cp);
-                    }
-                    if p == SweepDag::ROOT && old.ph != new.ph {
-                        self.advances += 1;
-                        let _ = writeln!(self.trace, "t {} root ph -> {}", self.now, new.ph);
-                    }
-                    moved = true;
-                    break; // re-evaluate guards after each state change
-                }
-                if moved {
-                    break;
-                }
+            let out = pump(core, &mut port, || now);
+            moved |= out.moved;
+            if out.advances > 0 {
+                self.advances += out.advances;
+                let _ = writeln!(self.trace, "t {now} root ph -> {}", core.root_phase());
             }
-            if !moved {
+            if !core.needs_work() {
                 break;
             }
-            moved_any = true;
+            // The simulated phase body is empty: it completes on the spot.
+            core.work_done(now);
+            moved = true;
         }
-        if moved_any {
-            self.gossip(pid);
+        if moved {
+            self.messages_sent[pid] += core.gossip(&mut port);
         }
     }
 
     /// §4.1 detectable fault: every position of `pid` is flagged.
     fn poison(&mut self, pid: usize) {
         let _ = writeln!(self.trace, "t {} poison p{pid}", self.now);
-        let detect = SweepDetectableFault {
-            n_phases: self.cfg.n_phases,
-        };
-        let worker = self.worker_pos[pid];
-        for &p in &self.program.dag().positions_of(pid).to_vec() {
-            let old = self.views[pid][p];
-            detect.apply(pid, &mut self.views[pid][p], &mut self.rngs[pid]);
-            let new = self.views[pid][p];
-            if p == worker && old.cp != new.cp {
-                self.record_cp(pid, new.ph, old.cp, new.cp);
-            }
-        }
-        let ph = self.views[pid][worker].ph;
-        self.record_causal(pid, "fault:detectable", ph);
+        self.cores[pid].apply_poison(self.now);
         self.gossip(pid);
-        self.drive(pid);
+        self.drive(pid, None);
     }
 
-    /// Byzantine message forgery: gossip forged out-of-domain position
-    /// states on every outgoing link while the local view stays intact. Each
-    /// link gets an independent forgery draw — the forger *equivocates*,
-    /// telling every neighbor a different lie. The receivers' guarded
-    /// commands read the forged predecessor copies until the next honest
-    /// retransmission overwrites them.
+    /// Byzantine message forgery: put `pid`'s lies on the wire, a different
+    /// set per outgoing link, bypassing its honest port. The receivers
+    /// convict them by inspection; anything that slips through is
+    /// overwritten by the next honest retransmission.
     fn forge(&mut self, pid: usize) {
         if self.muted[pid] {
             return;
         }
         let _ = writeln!(self.trace, "t {} forge p{pid}", self.now);
-        let byz = SweepByzantineFault {
-            n_phases: self.cfg.n_phases,
-            sn_domain: self.program.sn_domain(),
-        };
-        let ph = self.views[pid][self.worker_pos[pid]].ph;
-        self.record_causal(pid, "fault:forgery", ph);
-        let tag = self.recorder.last(pid);
-        for i in 0..self.out_links[pid].len() {
-            let link = self.out_links[pid][i];
-            for &p in &self.program.dag().positions_of(pid).to_vec() {
-                let mut forged = self.views[pid][p];
-                byz.apply(pid, &mut forged, &mut self.rngs[pid]);
-                self.net.send_tagged(
-                    link,
-                    PosMsg {
-                        pos: p,
-                        state: forged,
-                    },
-                    tag,
-                );
+        let lies = self.cores[pid].forge(self.now);
+        let tag = self.cores[pid].causal_tag();
+        for (&link, burst) in self.out_links[pid].iter().zip(lies) {
+            for msg in burst {
+                self.net.send_tagged(link, msg, tag);
             }
             self.net.flush(link);
             self.messages_sent[pid] += 1;
@@ -324,8 +258,7 @@ impl Driver {
     /// Fail-stop `pid`: record the stop, then never gossip or drive again.
     fn mute(&mut self, pid: usize) {
         let _ = writeln!(self.trace, "t {} mute p{pid}", self.now);
-        let ph = self.views[pid][self.worker_pos[pid]].ph;
-        self.record_causal(pid, "fault:stop", ph);
+        self.cores[pid].record_fail_stop(self.now);
         self.muted[pid] = true;
     }
 }
@@ -339,89 +272,63 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
         cfg.retransmit_every > 0.0,
         "retransmit period must be positive"
     );
-    let program = SweepBarrier::new(dag, cfg.n_phases);
-    let dag = program.dag();
-    let n = dag.num_processes();
+    let program = Arc::new(SweepBarrier::new(dag, cfg.n_phases));
+    let n = program.dag().num_processes();
     let mut rng = SimRng::seed_from_u64(cfg.seed);
 
-    // Subscriptions: process `pid` needs every remote position its guards
-    // read — predecessors and successors of each owned position. This is
-    // where the partner schedule of the log-depth grids materializes as
-    // links.
-    let mut needs: Vec<BTreeSet<Pos>> = vec![BTreeSet::new(); n];
-    for (pid, need) in needs.iter_mut().enumerate() {
-        for &p in dag.positions_of(pid) {
-            for &q in dag.preds(p).iter().chain(dag.succs(p)) {
-                if dag.owner(q) != pid {
-                    need.insert(q);
-                }
-            }
-        }
-    }
-    let mut pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for (pid, need) in needs.iter().enumerate() {
-        for &q in need {
-            pairs.insert((dag.owner(q), pid));
-        }
-    }
+    // One link per subscription, numbered in link order. This is where the
+    // partner schedule of the log-depth grids materializes as links.
+    let links = subscriptions(program.dag());
     let mut out_links: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut dest_of: Vec<usize> = Vec::with_capacity(pairs.len());
-    let link_of: BTreeMap<(usize, usize), usize> = pairs
-        .iter()
-        .enumerate()
-        .map(|(i, &(from, to))| {
-            out_links[from].push(i);
-            dest_of.push(to);
-            ((from, to), i)
+    let mut dest_of: Vec<usize> = Vec::with_capacity(links.len());
+    for (i, &(from, to)) in links.iter().enumerate() {
+        out_links[from].push(i);
+        dest_of.push(to);
+    }
+
+    let net: SimNet<PosMsg> = SimNet::new(vec![cfg.link; links.len()], rng.next_u64());
+    let seq = Arc::new(AtomicU64::new(0));
+    let recorder = CausalRecorder::bounded(cfg.flight_capacity);
+    let cores = (0..n)
+        .map(|pid| {
+            SweepCore::new(
+                program.clone(),
+                pid,
+                &links,
+                rng.next_u64(),
+                seq.clone(),
+                recorder.clone(),
+            )
         })
         .collect();
-    drop(link_of);
-
-    let net: SimNet<PosMsg> = SimNet::new(vec![cfg.link; pairs.len()], rng.next_u64());
-    let views: Vec<Vec<PosState>> = (0..n).map(|_| program.initial_state()).collect();
-    let rngs: Vec<SimRng> = (0..n)
-        .map(|_| SimRng::seed_from_u64(rng.next_u64()))
-        .collect();
-    let worker_pos: Vec<Pos> = (0..n).map(|pid| program.worker_position(pid)).collect();
-
-    let recorder = CausalRecorder::bounded(cfg.flight_capacity);
     let mut d = Driver {
-        cfg,
         net,
         ctl: BinaryHeap::new(),
         ctl_seq: 0,
         now: Time::ZERO,
-        views,
-        rngs,
+        cores,
         out_links,
         dest_of,
-        worker_pos,
+        staged: Vec::new(),
         messages_sent: vec![0; n],
-        events: Vec::new(),
-        seq: 0,
         advances: 0,
         trace: String::new(),
-        recorder,
-        pending: vec![Vec::new(); n],
         muted: vec![false; n],
-        forged_dropped: 0,
-        program,
+        cfg,
     };
 
-    for &(t, pid) in &d.cfg.poisons.clone() {
-        assert!(pid < n, "poison target {pid} out of range");
-        d.schedule(t, Ctl::Poison { pid });
-    }
-    for &(t, pid) in &d.cfg.mutes.clone() {
-        assert!(pid < n, "mute target {pid} out of range");
-        d.schedule(t, Ctl::Mute { pid });
-    }
-    for &(t, pid) in &d.cfg.forgeries.clone() {
-        assert!(pid < n, "forgery target {pid} out of range");
-        d.schedule(t, Ctl::Forge { pid });
+    for (plan, ctl) in [
+        (d.cfg.poisons.clone(), Ctl::Poison as fn(usize) -> Ctl),
+        (d.cfg.mutes.clone(), Ctl::Mute),
+        (d.cfg.forgeries.clone(), Ctl::Forge),
+    ] {
+        for (t, pid) in plan {
+            assert!(pid < n, "fault-plan target {pid} out of range");
+            d.schedule(t, ctl(pid));
+        }
     }
     for pid in 0..n {
-        d.schedule(d.cfg.retransmit_every, Ctl::Retransmit { pid });
+        d.schedule(d.cfg.retransmit_every, Ctl::Retransmit(pid));
     }
 
     // t = 0: everyone announces its start state, then takes any enabled
@@ -430,7 +337,7 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
         d.gossip(pid);
     }
     for pid in 0..n {
-        d.drive(pid);
+        d.drive(pid, None);
     }
 
     let max_time = Time::new(d.cfg.max_time);
@@ -446,15 +353,9 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
                 wedge_reason = Some("quiescent-without-completion");
                 break;
             }
-            (Some(tn), None) => (tn, true),
             (None, Some(tc)) => (tc, false),
-            (Some(tn), Some(tc)) => {
-                if tn <= tc {
-                    (tn, true)
-                } else {
-                    (tc, false)
-                }
-            }
+            (Some(tn), Some(tc)) if tc < tn => (tc, false),
+            (Some(tn), _) => (tn, true),
         };
         if t > max_time {
             wedge_reason = Some("max_time");
@@ -467,59 +368,33 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
             let Reverse((_, _, ev)) = d.ctl.pop().expect("peeked");
             Some(ev)
         };
-        let touched = d.net.advance_to(t);
-        for link in touched {
-            let dest = d.dest_of[link];
-            // Detectably corrupted deliveries are discarded — masked as
-            // loss and healed by retransmission. The same inspection
-            // convicts forged gossip: a carried state outside the program's
-            // variable domains cannot have been honestly produced, so it is
-            // dropped before it can launder into the receiver's view.
-            while let Some((delivery, tag)) = d.net.pop_inbox_tagged(link) {
-                if let Delivery::Ok(m) = delivery {
-                    if !pos_in_domain(&m.state, d.cfg.n_phases, d.program.sn_domain()) {
-                        d.forged_dropped += 1;
-                        continue;
-                    }
-                    d.views[dest][m.pos] = m.state;
-                    if let Some(id) = tag {
-                        d.pending[dest].push(id);
-                    }
-                }
-            }
-            d.drive(dest);
+        for link in d.net.advance_to(t) {
+            d.drive(d.dest_of[link], Some(link));
         }
         match ctl_ev {
-            Some(Ctl::Retransmit { pid }) => {
+            Some(Ctl::Retransmit(pid)) => {
                 if !d.muted[pid] {
                     // Liveness heartbeat: a silent process stands out in
                     // the flight dump even when the barrier is wedged.
-                    let ph = d.views[pid][d.worker_pos[pid]].ph;
-                    d.record_causal(pid, "retransmit", ph);
+                    d.cores[pid].record_heartbeat(d.now);
                     d.gossip(pid);
                 }
                 let at = d.now.as_f64() + d.cfg.retransmit_every;
-                d.schedule(at, Ctl::Retransmit { pid });
+                d.schedule(at, Ctl::Retransmit(pid));
             }
-            Some(Ctl::Poison { pid }) => d.poison(pid),
-            Some(Ctl::Mute { pid }) => d.mute(pid),
-            Some(Ctl::Forge { pid }) => d.forge(pid),
+            Some(Ctl::Poison(pid)) => d.poison(pid),
+            Some(Ctl::Mute(pid)) => d.mute(pid),
+            Some(Ctl::Forge(pid)) => d.forge(pid),
             None => {}
         }
         reached = d.advances >= d.cfg.target_phases;
     }
 
-    // Replay the worker event log through the barrier specification oracle,
-    // in global commit order.
-    d.events.sort_by_key(|e| e.seq);
-    let mut oracle = BarrierOracle::new(OracleConfig {
-        n_processes: n,
-        n_phases: d.cfg.n_phases,
-        anchor: Anchor::StrictFromZero,
-    });
-    for e in &d.events {
-        oracle.observe_cp(e.at, e.pid, e.ph, e.old, e.new);
+    let mut events = Vec::new();
+    for core in &mut d.cores {
+        events.append(core.events());
     }
+    let replayed = replay(d.cfg.n_phases, n, &mut events);
 
     let net_stats = d.net.stats();
     let _ = writeln!(
@@ -530,7 +405,7 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
     let flight_dump = if reached {
         None
     } else {
-        Some(d.recorder.snapshot().to_flight_json(
+        Some(recorder.snapshot().to_flight_json(
             "sweep_sim",
             n,
             "wedge",
@@ -539,12 +414,12 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
     };
     SweepSimReport {
         root_phase_advances: d.advances,
-        violations: oracle.violations().to_vec(),
-        phases_completed: oracle.phases_completed(),
+        violations: replayed.violations,
+        phases_completed: replayed.phases_completed,
         messages_sent: d.messages_sent,
         reached_target: reached,
         virtual_elapsed: d.now,
-        forged_dropped: d.forged_dropped,
+        forged_dropped: d.cores.iter().map(|c| c.forged_dropped).sum(),
         net: net_stats,
         trace: d.trace,
         flight_dump,

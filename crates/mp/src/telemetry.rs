@@ -1,17 +1,93 @@
-//! Telemetry bridge shared by both MB backends: replay the merged
-//! [`CpEvent`] log — already the backends' source of truth for the oracle —
-//! into per-process phase spans, fault instants, and phase-duration
-//! histograms.
+//! What every backend does with its merged [`CpEvent`] log once the run is
+//! over: [`replay`] it through the barrier specification oracle, and replay
+//! it into telemetry — per-process phase spans, fault instants, and
+//! phase-duration histograms.
 //!
-//! Both backends record telemetry *after* the run from the same event log
-//! the oracle replays, so enabling it cannot perturb execution: the
-//! simulated backend stays byte-identical (`SimMbReport::trace`), and the
-//! threaded backend's protocol path is untouched.
+//! Telemetry is recorded *after* the run from the same event log the oracle
+//! replays, so enabling it cannot perturb execution: the simulated backend
+//! stays byte-identical (`SimMbReport::trace`), and the threaded backend's
+//! protocol path is untouched.
 
 use crate::proc::CpEvent;
+use ftbarrier_core::spec::{Anchor, BarrierOracle, OracleConfig, Violation};
 use ftbarrier_core::Cp;
 use ftbarrier_gcs::Time;
 use ftbarrier_telemetry::Telemetry;
+
+/// What replaying a merged [`CpEvent`] log through the barrier
+/// specification oracle found.
+#[derive(Debug, Default)]
+pub struct Replay {
+    pub violations: Vec<Violation>,
+    /// Successful phases per the oracle.
+    pub phases_completed: u64,
+    /// Instances consumed per successful phase.
+    pub instance_counts: Vec<u64>,
+    /// Successful phases within the last membership segment.
+    pub phases_after_last_change: u64,
+}
+
+/// Sort the merged event log of an `n`-process run into global commit order
+/// (the shared `seq` counter respects per-process program order and message
+/// causality even when many events share one timestamp) and replay it
+/// through the oracle.
+pub fn replay(n_phases: u32, n: usize, events: &mut [CpEvent]) -> Replay {
+    events.sort_by_key(|e| e.seq);
+    replay_segments(n_phases, n, events, &[(0, (0..n).collect())])
+}
+
+/// Replay a `seq`-ordered event log through the barrier specification
+/// oracle, one oracle per membership segment `(first event seq, members)`.
+/// With a single segment (no reconfiguration) this is the classic whole-run
+/// strict replay. After a reconfiguration the instance straddling the
+/// boundary is exempt (§4.1 allows the in-flight phase to be re-executed);
+/// the oracle re-attaches at the first fresh instance the root opens in the
+/// new view, with membership pids compacted to the oracle's contiguous
+/// process ids.
+pub fn replay_segments(
+    n_phases: u32,
+    n: usize,
+    events: &[CpEvent],
+    segments: &[(u64, Vec<usize>)],
+) -> Replay {
+    let mut out = Replay::default();
+    for (i, (from, members)) in segments.iter().enumerate() {
+        let to = segments.get(i + 1).map_or(u64::MAX, |s| s.0);
+        let mut vpid: Vec<Option<usize>> = vec![None; n];
+        for (v, &p) in members.iter().enumerate() {
+            vpid[p] = Some(v);
+        }
+        let mut oracle = BarrierOracle::new(OracleConfig {
+            n_processes: members.len(),
+            n_phases,
+            anchor: if i == 0 {
+                Anchor::StrictFromZero
+            } else {
+                Anchor::Free
+            },
+        });
+        let mut attached = i == 0;
+        for e in events.iter().filter(|e| e.seq >= *from && e.seq < to) {
+            let Some(p) = vpid[e.pid] else { continue };
+            if !attached {
+                // The execute sweep starts at the root, so the root's start
+                // is the first event of any fresh instance.
+                if e.pid == 0 && e.new == Cp::Execute {
+                    attached = true;
+                } else {
+                    continue;
+                }
+            }
+            oracle.observe_cp(e.at, p, e.ph, e.old, e.new);
+        }
+        out.violations.extend(oracle.violations().iter().cloned());
+        out.phases_completed += oracle.phases_completed();
+        out.instance_counts
+            .extend_from_slice(oracle.instance_counts());
+        out.phases_after_last_change = oracle.phases_completed();
+    }
+    out
+}
 
 /// Replay `events` (sorted by `seq`) into `telemetry`: a `proc <pid>` track
 /// per process with one span per phase execution (`outcome` = `success` /
