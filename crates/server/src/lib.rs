@@ -13,12 +13,14 @@
 //!
 //! * [`wire`] — the length-prefixed client↔server frame protocol;
 //! * [`group`] — one MB ring fed by an arrival ledger;
+//! * `readiness` — the `epoll`/`eventfd` wrapper every server thread blocks on;
 //! * [`server`] — acceptor, shard workers, `/metrics`;
 //! * [`client`] — blocking client library and load generator;
 //! * [`selftest`] — the `repro serve` acceptance run.
 
 pub mod client;
 pub mod group;
+mod readiness;
 pub mod selftest;
 pub mod server;
 pub mod wire;

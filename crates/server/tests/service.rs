@@ -6,11 +6,11 @@ use ftbarrier_server::client::{run_client, BarrierClient};
 use ftbarrier_server::group::GroupConfig;
 use ftbarrier_server::selftest::{http_get, run_selftest};
 use ftbarrier_server::server::{Server, ServerConfig};
-use ftbarrier_server::wire::{frame, ClientFrame, MAX_FRAME};
+use ftbarrier_server::wire::{frame, ClientFrame, ServerFrame, MAX_FRAME};
 use ftbarrier_telemetry::export::PROMETHEUS_CONTENT_TYPE;
 use ftbarrier_telemetry::{prom, FlightDump};
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -377,4 +377,227 @@ fn selftest_quick_passes() {
     assert!(report.phases >= 20);
     assert!(report.live_metrics.contains("runtime_phase_duration"));
     assert!(report.server_log.contains("sealed"));
+}
+
+/// Every deadline the shard's timer pass serves pushed out to 40 s, so the
+/// pass runs every 10 s and cannot be what makes a sub-second test pass.
+fn timers_out_of_the_way() -> GroupConfig {
+    GroupConfig {
+        detector: DetectorConfig {
+            base_timeout: 40.0,
+            backoff: 1.0,
+            max_timeout: 40.0,
+            suspicion_threshold: 10,
+        },
+        wedge_timeout: 40.0,
+        stall_splice_timeout: 40.0,
+        ..GroupConfig::default()
+    }
+}
+
+/// Connect and send `Join` on a bare socket, for members that misbehave on
+/// the wire. The acceptor serves connections in order, so bare members of
+/// one group are seated in the order they were opened.
+fn raw_join(addr: SocketAddr, group: &str, size: u32) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream.set_read_timeout(Some(T)).expect("read timeout");
+    let join = ClientFrame::Join {
+        group: group.into(),
+        size,
+    };
+    stream.write_all(&join.to_frame()).expect("join");
+    stream
+}
+
+fn raw_frame(stream: &mut TcpStream) -> ServerFrame {
+    let mut head = [0u8; 4];
+    stream.read_exact(&mut head).expect("frame header");
+    let mut body = vec![0u8; u32::from_be_bytes(head) as usize];
+    stream.read_exact(&mut body).expect("frame body");
+    ServerFrame::decode(&body).expect("server frame")
+}
+
+/// `n` sessions of groups of 4, joined and idle.
+fn idle_sessions(addr: SocketAddr, tag: &str, n: usize) -> Vec<BarrierClient> {
+    let joiners: Vec<_> = (0..n)
+        .map(|i| {
+            let group = format!("{tag}-{}", i / 4);
+            thread::spawn(move || BarrierClient::join(addr, &group, 4, T).expect("join"))
+        })
+        .collect();
+    joiners.into_iter().map(|j| j.join().unwrap()).collect()
+}
+
+fn shard_wakeups(server: &Server) -> Vec<f64> {
+    let exp = prom::parse(&server.render_metrics()).expect("exposition parses");
+    ["0", "1"]
+        .iter()
+        .map(|shard| {
+            exp.value("server_shard_wakeups_total", &[("shard", shard)])
+                .expect("one series per shard")
+        })
+        .collect()
+}
+
+/// A frame split across readiness events: a member that writes its
+/// `Arrive` one byte at a time wakes the shard with a partial frame up to
+/// thirteen times per phase, and still completes every phase.
+#[test]
+fn arrive_written_one_byte_at_a_time_still_completes_every_phase() {
+    let server = start(GroupConfig::default());
+    let addr = server.addr();
+    let mut slow = raw_join(addr, "drip", 3);
+    let others: Vec<_> = (0..2)
+        .map(|_| thread::spawn(move || run_client(addr, "drip", 3, 6, &[], T)))
+        .collect();
+    assert!(matches!(
+        raw_frame(&mut slow),
+        ServerFrame::Welcome { size: 3, .. }
+    ));
+    for phase in 0..6 {
+        let arrive = ClientFrame::Arrive { phase }.to_frame();
+        for byte in arrive {
+            slow.write_all(&[byte]).unwrap();
+            // Long enough for the shard to wake, read the byte and block again.
+            thread::sleep(Duration::from_millis(1));
+        }
+        match raw_frame(&mut slow) {
+            ServerFrame::Release { phase: got, .. } => assert_eq!(got, phase),
+            other => panic!("phase {phase}: {other:?}\n{}", server.log_snapshot()),
+        }
+    }
+    for h in others {
+        let o = h.join().unwrap();
+        assert!(o.error.is_none(), "{o:?}");
+        assert_eq!(o.completed, 6, "{o:?}");
+    }
+    server.shutdown();
+}
+
+/// A shard with nothing to read wakes for its timer pass only, and under
+/// traffic at least once per phase. `server_shard_wakeups_total{shard}`
+/// counts returns from `epoll_wait`.
+#[test]
+fn idle_shards_wake_for_the_timer_only() {
+    // Default deadlines, so the timer pass runs every 25 ms (a quarter of
+    // the detector's 100 ms) — but a detector that never convicts, because
+    // these sessions are silent on purpose.
+    let server = start(GroupConfig {
+        detector: DetectorConfig {
+            suspicion_threshold: 10_000,
+            ..DetectorConfig::default()
+        },
+        ..GroupConfig::default()
+    });
+    let mut sessions = idle_sessions(server.addr(), "idle", 16);
+    thread::sleep(Duration::from_millis(50)); // let the sealing passes finish
+
+    let before = shard_wakeups(&server);
+    let started = Instant::now();
+    thread::sleep(Duration::from_millis(300));
+    let timer_passes = started.elapsed().as_secs_f64() / 0.025;
+    let after = shard_wakeups(&server);
+    for (shard, (b, a)) in before.iter().zip(&after).enumerate() {
+        assert!(
+            a - b <= timer_passes + 8.0,
+            "shard {shard} woke {} times in {:?} with nothing to do",
+            a - b,
+            started.elapsed()
+        );
+    }
+
+    // Traffic: each phase of a group takes at least one wake-up of the
+    // shard that owns it.
+    let group = &mut sessions[..4];
+    let before: f64 = shard_wakeups(&server).iter().sum();
+    for phase in 0..20 {
+        for c in group.iter_mut() {
+            c.arrive(phase).unwrap();
+        }
+        for c in group.iter_mut() {
+            c.await_release(phase, T).unwrap();
+        }
+    }
+    let after: f64 = shard_wakeups(&server).iter().sum();
+    assert!(after - before >= 20.0, "{} wake-ups", after - before);
+    server.shutdown();
+}
+
+/// `shutdown` rings every thread's eventfd: with sessions connected and
+/// idle and the next timer pass seconds away, it still returns at once.
+#[test]
+fn shutdown_with_idle_sessions_does_not_wait_for_a_timer() {
+    let server = start(timers_out_of_the_way());
+    let mut sessions = idle_sessions(server.addr(), "parked", 16);
+    thread::sleep(Duration::from_millis(50)); // every thread blocked again
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(200), "shutdown took {took:?}");
+    for c in &mut sessions {
+        let told = c.await_release(0, T).expect_err("no release was due");
+        assert!(told.to_string().contains("shutting down"), "{told}");
+    }
+}
+
+/// A member that arrives and then resets its connection leaves the server
+/// holding a socket it can still read the `Arrive` from but cannot write
+/// the `Release` to. Whether the shard learns of the death from that failed
+/// write (it shuts the socket down, which makes it readable) or from the
+/// reset itself, the splice must come from readiness: the timer pass is
+/// 10 s away.
+#[test]
+fn reset_session_is_spliced_by_readiness_not_by_a_timer() {
+    let server = start(timers_out_of_the_way());
+    let addr = server.addr();
+    let mut a = raw_join(addr, "rst", 3);
+    let mut b = raw_join(addr, "rst", 3);
+    let mut victim = raw_join(addr, "rst", 3);
+    assert_eq!(
+        raw_frame(&mut a),
+        ServerFrame::Welcome { member: 0, size: 3 }
+    );
+    assert_eq!(
+        raw_frame(&mut b),
+        ServerFrame::Welcome { member: 1, size: 3 }
+    );
+
+    let arrive = |phase| ClientFrame::Arrive { phase }.to_frame();
+    a.write_all(&arrive(0)).unwrap();
+    b.write_all(&arrive(0)).unwrap();
+    // The victim never read its Welcome: closing with unread bytes sends
+    // RST instead of FIN, right behind the Arrive.
+    victim.write_all(&arrive(0)).unwrap();
+    drop(victim);
+    for s in [&mut a, &mut b] {
+        assert!(
+            matches!(raw_frame(s), ServerFrame::Release { phase: 0, .. }),
+            "{}",
+            server.log_snapshot()
+        );
+    }
+
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !server.log_snapshot().contains("member 2 vanished, spliced") {
+        assert!(
+            Instant::now() < deadline,
+            "no splice without a timer pass:\n{}",
+            server.log_snapshot()
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    a.write_all(&arrive(1)).unwrap();
+    b.write_all(&arrive(1)).unwrap();
+    for s in [&mut a, &mut b] {
+        assert!(matches!(
+            raw_frame(s),
+            ServerFrame::Release {
+                phase: 1,
+                live: 2,
+                ..
+            }
+        ));
+    }
+    server.shutdown();
 }
