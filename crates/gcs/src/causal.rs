@@ -26,6 +26,7 @@ use crate::monitor::Monitor;
 use crate::protocol::{ActionId, Pid, Protocol, ReaderSet};
 use crate::time::Time;
 use ftbarrier_telemetry::{CausalRecorder, EventId};
+use std::borrow::Cow;
 
 /// Optional projection from a committed state to its barrier phase, so
 /// recorded events carry a `phase` label for per-phase critical paths.
@@ -89,7 +90,7 @@ impl<S> CausalMonitor<S> {
         &self.recorder
     }
 
-    fn observe(&mut self, now: Time, pid: Pid, label: &str, new: &S) {
+    fn observe(&mut self, now: Time, pid: Pid, label: impl Into<Cow<'static, str>>, new: &S) {
         if !self.recorder.is_enabled() {
             return;
         }
@@ -112,13 +113,9 @@ impl<S> CausalMonitor<S> {
             FaultKind::Detectable => "fault:detectable",
             FaultKind::Undetectable => "fault:undetectable",
         };
-        self.scratch.clear();
-        if let Some(id) = self.recorder.last(pid) {
-            self.scratch.push(id);
-        }
         let phase = self.phase_of.as_ref().and_then(|f| f(new));
         self.recorder
-            .record(pid, label, now.as_f64(), phase, &self.scratch);
+            .record_next(pid, label, now.as_f64(), phase, &[]);
     }
 }
 
@@ -133,7 +130,11 @@ impl<S> Monitor<S> for CausalMonitor<S> {
         new: &S,
         _global: &[S],
     ) {
-        self.observe(now, pid, name, new);
+        // `name` is not `'static` through this trait, so the label is owned
+        // — but only by a recorder that is on.
+        if self.recorder.is_enabled() {
+            self.observe(now, pid, name.to_owned(), new);
+        }
     }
 
     fn on_fault(&mut self, now: Time, pid: Pid, kind: FaultKind, _old: &S, new: &S, _global: &[S]) {

@@ -92,16 +92,41 @@ pub(crate) fn record_causal(
     recorder: &CausalRecorder,
     pending: &mut Vec<EventId>,
     pid: usize,
-    label: &str,
+    label: &'static str,
     now: Time,
     ph: u32,
 ) {
-    let mut preds: Vec<EventId> = Vec::with_capacity(pending.len() + 1);
-    preds.extend(recorder.last(pid));
-    preds.append(pending);
-    preds.sort_unstable();
-    preds.dedup();
-    recorder.record(pid, label, now.as_f64(), Some(ph), &preds);
+    recorder.record_next(pid, label, now.as_f64(), Some(ph), pending);
+    pending.clear();
+}
+
+/// `cp:{old:?}->{new:?}` for every pair of control positions, indexed by
+/// discriminant: the recorder's label for a control-position change is
+/// looked up, never formatted.
+const CP_LABELS: [[&str; 5]; 5] = {
+    macro_rules! from {
+        ($old:literal) => {
+            [
+                concat!("cp:", $old, "->Ready"),
+                concat!("cp:", $old, "->Execute"),
+                concat!("cp:", $old, "->Success"),
+                concat!("cp:", $old, "->Error"),
+                concat!("cp:", $old, "->Repeat"),
+            ]
+        };
+    }
+    [
+        from!("Ready"),
+        from!("Execute"),
+        from!("Success"),
+        from!("Error"),
+        from!("Repeat"),
+    ]
+};
+
+/// The flight recorder's label for the control-position change `old → new`.
+pub fn cp_label(old: Cp, new: Cp) -> &'static str {
+    CP_LABELS[old as usize][new as usize]
 }
 
 /// A per-process state machine as its driver sees it: [`MbCore`] on the
@@ -197,14 +222,11 @@ impl MbCore {
                 old,
                 new: self.own.cp,
             });
-            if self.recorder.is_enabled() {
-                let label = format!("cp:{:?}->{:?}", old, self.own.cp);
-                self.causal(now, &label);
-            }
+            self.causal(now, cp_label(old, self.own.cp));
         }
     }
 
-    fn causal(&mut self, now: Time, label: &str) {
+    fn causal(&mut self, now: Time, label: &'static str) {
         if !self.recorder.is_enabled() {
             return;
         }
@@ -525,4 +547,19 @@ pub fn try_sn_domain(n: usize, l: u32) -> Result<u32, ftbarrier_core::DomainErro
         return Err(ftbarrier_core::DomainError::LTooSmall { l, min });
     }
     Ok(l)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The label table is the `format!` it replaced, for all 25 pairs.
+    #[test]
+    fn cp_label_matches_the_debug_format() {
+        for old in Cp::RB_DOMAIN {
+            for new in Cp::RB_DOMAIN {
+                assert_eq!(cp_label(old, new), format!("cp:{old:?}->{new:?}"));
+            }
+        }
+    }
 }

@@ -114,7 +114,7 @@ impl SweepCore {
         self.program.worker_position(self.pid)
     }
 
-    fn causal(&mut self, now: Time, label: &str) {
+    fn causal(&mut self, now: Time, label: &'static str) {
         let ph = self.view[self.worker()].ph;
         record_causal(
             &self.recorder,

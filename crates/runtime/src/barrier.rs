@@ -132,18 +132,13 @@ impl Shared {
     /// Record a causal event for participant `id`: predecessors are its own
     /// previous event plus any cross-participant dependencies (the arrivals
     /// a parent consumed, the release a waiter observed).
-    fn record(&self, id: usize, label: &str, phase: u64, deps: &[EventId]) {
-        let mut preds: Vec<EventId> = Vec::with_capacity(deps.len() + 1);
-        preds.extend(self.recorder.last(id));
-        preds.extend_from_slice(deps);
-        preds.sort_unstable();
-        preds.dedup();
-        self.recorder.record(
+    fn record(&self, id: usize, label: &'static str, phase: u64, deps: &[EventId]) {
+        self.recorder.record_next(
             id,
             label,
             self.started.elapsed().as_secs_f64(),
             Some(phase as u32),
-            &preds,
+            deps,
         );
     }
 }

@@ -188,7 +188,12 @@ impl FailureDetector {
     /// to the base timeout. Returns `true` if the process was suspected
     /// until now (the caller should graft it back).
     pub fn heartbeat(&self, pid: usize) -> bool {
-        let now = self.clock.now();
+        self.heartbeat_at(pid, self.clock.now())
+    }
+
+    /// [`FailureDetector::heartbeat`] for a caller that already read the
+    /// detector's clock: `now` must come from that clock.
+    pub fn heartbeat_at(&self, pid: usize, now: f64) -> bool {
         let mut procs = self.procs.lock();
         let p = &mut procs[pid];
         let was_suspected = p.suspected;
@@ -298,7 +303,13 @@ impl GroupMembership {
     /// A worker's sign of life. A heartbeat from a spliced-out process
     /// grafts it straight back (no need to wait for the next tick).
     pub fn heartbeat(&self, pid: usize) -> Option<MembershipEvent> {
-        if self.detector.heartbeat(pid) {
+        self.heartbeat_at(pid, self.detector.clock.now())
+    }
+
+    /// [`GroupMembership::heartbeat`] for a caller that already read the
+    /// group's clock (see [`FailureDetector::heartbeat_at`]).
+    pub fn heartbeat_at(&self, pid: usize, now: f64) -> Option<MembershipEvent> {
+        if self.detector.heartbeat_at(pid, now) {
             return self.graft(pid);
         }
         None

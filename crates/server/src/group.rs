@@ -21,7 +21,7 @@ use ftbarrier_mp::channel::Delivery;
 use ftbarrier_mp::proc::{sn_domain, MbCore, Step};
 use ftbarrier_runtime::detector::{Clock, DetectorConfig, GroupMembership, MembershipEvent};
 use ftbarrier_telemetry::{CausalRecorder, Telemetry};
-use ftbarrier_topology::SweepDag;
+use ftbarrier_topology::{MembershipView, SweepDag};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -99,6 +99,12 @@ pub struct BarrierGroup {
     size: usize,
     cores: Vec<MbCore>,
     membership: GroupMembership,
+    /// All `pump` needs of the membership view: each member's live upstream
+    /// neighbour (`None` for a spliced member, and for a ring contracted to
+    /// one seat). Rebuilt only when the membership epoch moves past
+    /// `upstream_epoch` — contracting the ring costs more than pumping it.
+    upstream: Vec<Option<usize>>,
+    upstream_epoch: u64,
     clock: Arc<dyn Clock>,
     recorder: CausalRecorder,
     /// Arrivals granted by the wire (`Arrive` frames), per member.
@@ -156,6 +162,8 @@ impl BarrierGroup {
         BarrierGroup {
             size,
             cores,
+            upstream: upstream_table(&membership.view(), size),
+            upstream_epoch: membership.epoch(),
             membership,
             clock,
             recorder,
@@ -203,9 +211,9 @@ impl BarrierGroup {
             return;
         }
         self.arrivals[member] += 1;
-        let now = Time::new(self.clock.now());
-        self.cores[member].record_arrival(now);
-        self.membership.heartbeat(member);
+        let now = self.clock.now();
+        self.cores[member].record_arrival(Time::new(now));
+        self.membership.heartbeat_at(member, now);
     }
 
     /// A member's `Ping`: liveness only, no arrival.
@@ -262,11 +270,13 @@ impl BarrierGroup {
         // group is legitimately mid-phase (or multiply wedged — the
         // flight-recorder watchdog's province), so the clock only runs for
         // a unique blocker, judged from the previous pump's ledger.
-        let blockers: Vec<usize> = (0..self.size)
-            .filter(|&m| !self.dead[m] && self.blocked_on_arrive[m])
-            .collect();
+        let mut blockers = (0..self.size).filter(|&m| !self.dead[m] && self.blocked_on_arrive[m]);
+        let sole_blocker = match (blockers.next(), blockers.next()) {
+            (Some(m), None) => Some(m),
+            _ => None,
+        };
         for m in 1..self.size {
-            let sole = blockers == [m] && self.arrivals[m] == self.consumed[m];
+            let sole = sole_blocker == Some(m) && self.arrivals[m] == self.consumed[m];
             if !sole {
                 self.starved_since[m] = None;
                 continue;
@@ -321,7 +331,15 @@ impl BarrierGroup {
     /// root phase advances. Pass count is capped as a livelock valve; any
     /// residual progress carries over to the next tick.
     fn pump(&mut self, now: Time) -> u64 {
-        self.blocked_on_arrive = vec![false; self.size];
+        // Kill, detector splice and stall splice have all bumped the epoch
+        // by now; nothing else changes the view.
+        let epoch = self.membership.epoch();
+        if epoch != self.upstream_epoch {
+            self.upstream = upstream_table(&self.membership.view(), self.size);
+            self.upstream_epoch = epoch;
+        }
+        debug_assert!(self.upstream_is_current());
+        self.blocked_on_arrive.fill(false);
         if (1..self.size).all(|m| self.dead[m]) {
             // The ring degenerated to the root alone (the root is never
             // spliced, so the last member standing is member 0; the
@@ -338,17 +356,10 @@ impl BarrierGroup {
         let mut advances = 0;
         for _pass in 0..4 * self.size + 16 {
             let mut moved = false;
-            let view = self.membership.view();
             for m in 0..self.size {
-                if !view.contains(m) {
-                    continue;
-                }
-                let Some(up) = view.upstream_of(m) else {
+                let Some(up) = self.upstream[m] else {
                     continue;
                 };
-                if up == m {
-                    continue; // ring degenerated to a single member
-                }
                 let pred = self.cores[up].own;
                 let core = &mut self.cores[m];
                 core.on_delivery(Delivery::Ok(pred));
@@ -391,11 +402,40 @@ impl BarrierGroup {
         }
         advances
     }
+
+    /// Whether `upstream` is what the membership's live set implies on a
+    /// ring: every live member's nearest live predecessor. The same table
+    /// [`upstream_table`] derives from a fresh view, restated over
+    /// `is_member` so the check allocates nothing and debug builds keep
+    /// `tick`'s allocation contract.
+    fn upstream_is_current(&self) -> bool {
+        let live = |m: usize| self.membership.is_member(m);
+        (0..self.size).all(|m| {
+            let nearest = (1..self.size)
+                .map(|back| (m + self.size - back) % self.size)
+                .find(|&p| live(p));
+            self.upstream[m] == nearest.filter(|_| live(m))
+        })
+    }
+}
+
+/// Each of the `size` members' upstream neighbour in `view`: `None` for a
+/// member spliced out of it, and for a ring contracted to a single seat.
+fn upstream_table(view: &MembershipView, size: usize) -> Vec<Option<usize>> {
+    (0..size)
+        .map(|m| {
+            if !view.contains(m) {
+                return None;
+            }
+            view.upstream_of(m).filter(|&up| up != m)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftbarrier_gcs::SimRng;
     use ftbarrier_runtime::detector::TestClock;
     use ftbarrier_telemetry::{FlightDump, Telemetry};
 
@@ -541,6 +581,13 @@ mod tests {
             }
         }
         let dump = dump.expect("wedge dump fires after the timeout");
+        // Pure observer: the dump is bit for bit what the recorder wrote
+        // before its storage went allocation-free and the ring view was
+        // cached (golden taken on the parent of that change).
+        let fnv1a = dump.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((dump.len(), fnv1a), (3551, 0x1079_e691_2f3f_e6ad));
         let parsed = FlightDump::parse(&dump).expect("dump parses");
         parsed.replay().expect("dump replays");
         assert_eq!(parsed.program, "server");
@@ -639,6 +686,81 @@ mod tests {
         }
         clock.advance(0.01);
         assert_eq!(g.tick().releases.len(), 1);
+    }
+
+    /// The cached upstream table tracks the membership view through every
+    /// way a member can leave — `kill`, detector splice, stall splice — in
+    /// random order, down to the lone root (where the view itself refuses
+    /// the last splice), and the ring keeps releasing over the survivors.
+    #[test]
+    fn cached_upstream_tracks_the_view_through_every_splice() {
+        let cfg = GroupConfig {
+            stall_splice_timeout: 1.0,
+            wedge_timeout: 1e9,
+            ..quick_cfg()
+        };
+        fn tick_checked(g: &mut BarrierGroup) -> GroupTick {
+            let t = g.tick();
+            assert_eq!(g.upstream_epoch, g.membership.epoch());
+            assert_eq!(g.upstream, upstream_table(&g.membership.view(), g.size));
+            assert!(g.upstream_is_current());
+            t
+        }
+        let (mut kills, mut silences, mut stalls) = (0, 0, 0);
+        for seed in 0..40u64 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let size = 2 + (seed % 7) as usize;
+            let clock = TestClock::new();
+            let mut g = BarrierGroup::new(size, &cfg, clock.clone(), Telemetry::off());
+            let live = |g: &BarrierGroup| (0..size).filter(|&m| !g.is_dead(m)).collect::<Vec<_>>();
+            tick_checked(&mut g);
+            while g.live_count() > 1 {
+                // A clean phase over whoever is left.
+                for m in live(&g) {
+                    g.arrive(m);
+                }
+                clock.advance(0.01);
+                assert_eq!(tick_checked(&mut g).releases.len(), 1);
+
+                let victim = *rng.choose(&live(&g)[1..]);
+                // The view keeps two seats, so the detector cannot take
+                // the root's last peer; the other two paths can.
+                match rng.range_u64(if g.live_count() > 2 { 0 } else { 1 }, 3) {
+                    0 => {
+                        silences += 1;
+                        while !g.is_dead(victim) {
+                            clock.advance(0.25);
+                            for m in live(&g).into_iter().filter(|&m| m != victim) {
+                                g.heartbeat(m);
+                            }
+                            tick_checked(&mut g);
+                        }
+                    }
+                    1 => {
+                        kills += 1;
+                        assert_eq!(g.kill(victim), KillOutcome::Spliced);
+                        tick_checked(&mut g);
+                    }
+                    _ => {
+                        stalls += 1;
+                        for m in live(&g).into_iter().filter(|&m| m != victim) {
+                            g.arrive(m);
+                        }
+                        while !g.is_dead(victim) {
+                            clock.advance(0.25);
+                            for m in live(&g) {
+                                g.heartbeat(m);
+                            }
+                            tick_checked(&mut g);
+                        }
+                    }
+                }
+            }
+            // Lone root: each arrival is a phase by itself.
+            g.arrive(0);
+            assert_eq!(tick_checked(&mut g).releases.len(), 1);
+        }
+        assert!(kills > 0 && silences > 0 && stalls > 0);
     }
 
     /// A 2-member group that loses its non-root member keeps releasing

@@ -516,6 +516,8 @@ struct Shard {
     next_group_id: u32,
     /// Groups to pump before this pass ends.
     due: BTreeSet<u32>,
+    /// Lent to every `read_session`: one socket read's worth of bytes.
+    read_buf: Box<[u8; 4096]>,
 }
 
 impl Shard {
@@ -539,6 +541,7 @@ impl Shard {
             groups: BTreeMap::new(),
             next_group_id: 0,
             due: BTreeSet::new(),
+            read_buf: Box::new([0; 4096]),
         })
     }
 
@@ -601,7 +604,7 @@ impl Shard {
         let Some(s) = g.sessions.get_mut(member).and_then(Option::as_mut) else {
             return;
         };
-        if !read_session(member, s, &mut g.group) {
+        if !read_session(member, s, &mut g.group, &mut self.read_buf[..]) {
             g.dead.push(member);
         }
         self.due.insert(group_id);
@@ -733,10 +736,9 @@ fn close_session(s: Session, poller: &Poller, shared: &Shared) {
 /// the next `epoll_wait`, and a short read needs no second `read` to learn
 /// the socket is drained. Returns `false` if the session died (EOF, error,
 /// malformed frame, or `Leave`).
-fn read_session(member: usize, s: &mut Session, group: &mut BarrierGroup) -> bool {
-    let mut buf = [0u8; 4096];
+fn read_session(member: usize, s: &mut Session, group: &mut BarrierGroup, buf: &mut [u8]) -> bool {
     let n = loop {
-        match s.stream.read(&mut buf) {
+        match s.stream.read(buf) {
             Ok(0) => return false,
             Ok(n) => break n,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,

@@ -17,9 +17,15 @@
 //! The recorder doubles as the **flight recorder**: construction is
 //! always bounded ([`CausalRecorder::bounded`]), so an armed recorder
 //! keeps only the most recent `capacity` events (evicting from the front
-//! and counting drops) and costs O(1) per record. A disabled recorder
-//! ([`CausalRecorder::off`]) is a one-branch no-op, preserving the pure
-//! observer contract the differential suites pin.
+//! and counting drops). The per-event cost is a contract: one lock, and no
+//! allocation when the label is a `&'static str` and the event has at most
+//! two predecessors — the ring is allocated once at `capacity`, labels are
+//! `Cow<'static, str>`, predecessors live inline up to two, and the per-pid
+//! bookkeeping is one pid-indexed vector
+//! ([`CausalRecorder::record_next`] is the form every backend's program-order
+//! recording goes through). A disabled recorder ([`CausalRecorder::off`]) is
+//! a one-branch no-op, preserving the pure observer contract the
+//! differential suites pin.
 //!
 //! [`CausalGraph`] (a snapshot of the ring) answers the two questions the
 //! paper's latency claims raise: *which chain of events was the measured
@@ -33,9 +39,10 @@
 
 use crate::export::json_escape;
 use crate::json;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Globally unique event identity: the `seq`-th event recorded by `pid`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,12 +65,114 @@ pub struct CausalEvent {
     pub preds: Vec<EventId>,
 }
 
+/// An event's predecessor list as the ring stores it: program order plus
+/// one delivery — the common case — fits inline; more spill to the heap.
+enum Preds {
+    Inline { len: u8, ids: [EventId; 2] },
+    Heap(Vec<EventId>),
+}
+
+impl Preds {
+    /// The `n` ids `from` yields, in order.
+    fn collect(n: usize, from: impl Iterator<Item = EventId>) -> Preds {
+        if n > 2 {
+            return Preds::Heap(from.collect());
+        }
+        let mut ids = [EventId { pid: 0, seq: 0 }; 2];
+        let mut len = 0;
+        for (slot, id) in ids.iter_mut().zip(from) {
+            *slot = id;
+            len += 1;
+        }
+        Preds::Inline { len, ids }
+    }
+
+    fn as_slice(&self) -> &[EventId] {
+        match self {
+            Preds::Inline { len, ids } => &ids[..*len as usize],
+            Preds::Heap(v) => v,
+        }
+    }
+
+    fn sort_dedup(&mut self) {
+        match self {
+            Preds::Inline { len, ids } => {
+                if *len == 2 {
+                    if ids[0] > ids[1] {
+                        ids.swap(0, 1);
+                    }
+                    if ids[0] == ids[1] {
+                        *len = 1;
+                    }
+                }
+            }
+            Preds::Heap(v) => {
+                v.sort_unstable();
+                v.dedup();
+            }
+        }
+    }
+}
+
+/// A [`CausalEvent`] as the ring stores it.
+struct Slot {
+    id: EventId,
+    at: f64,
+    label: Cow<'static, str>,
+    phase: Option<u32>,
+    preds: Preds,
+}
+
 struct CausalInner {
     capacity: usize,
-    events: VecDeque<CausalEvent>,
-    next_seq: BTreeMap<u32, u32>,
-    last: BTreeMap<u32, EventId>,
+    /// Allocated at `capacity` up front; never grows.
+    events: VecDeque<Slot>,
+    /// `seq` of each pid's most recent event, indexed by pid; 0 means the
+    /// pid has recorded nothing yet (a live `seq` is never 0).
+    last_seq: Vec<u32>,
     dropped: u64,
+}
+
+impl CausalInner {
+    fn last(&self, pid: u32) -> Option<EventId> {
+        match self.last_seq.get(pid as usize) {
+            Some(&seq) if seq != 0 => Some(EventId { pid, seq }),
+            _ => None,
+        }
+    }
+
+    fn push(
+        &mut self,
+        pid: u32,
+        label: Cow<'static, str>,
+        at: f64,
+        phase: Option<u32>,
+        preds: Preds,
+    ) -> EventId {
+        if self.last_seq.len() <= pid as usize {
+            self.last_seq.resize(pid as usize + 1, 0);
+        }
+        let last = &mut self.last_seq[pid as usize];
+        // 2^32 events on one seat is days, not years, for an always-on
+        // recorder: wrap past 0, which stays the "no event yet" marker.
+        *last = match last.wrapping_add(1) {
+            0 => 1,
+            seq => seq,
+        };
+        let id = EventId { pid, seq: *last };
+        if self.events.len() >= self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(Slot {
+            id,
+            at,
+            label,
+            phase,
+            preds,
+        });
+        id
+    }
 }
 
 /// Cloneable, thread-safe handle to a bounded causal event ring.
@@ -87,9 +196,8 @@ impl CausalRecorder {
         CausalRecorder {
             inner: Some(Arc::new(Mutex::new(CausalInner {
                 capacity,
-                events: VecDeque::new(),
-                next_seq: BTreeMap::new(),
-                last: BTreeMap::new(),
+                events: VecDeque::with_capacity(capacity),
+                last_seq: Vec::new(),
                 dropped: 0,
             }))),
         }
@@ -99,68 +207,87 @@ impl CausalRecorder {
         self.inner.is_some()
     }
 
+    /// The ring, locked; `None` when off.
+    fn lock(&self) -> Option<MutexGuard<'_, CausalInner>> {
+        let inner = self.inner.as_ref()?;
+        Some(inner.lock().expect("a thread panicked mid-record"))
+    }
+
     /// Record one event for `pid` and return its id (`None` when off).
     /// `preds` may contain duplicates or ids evicted from the ring; both
     /// are preserved verbatim (analysis ignores refs it cannot resolve).
     pub fn record(
         &self,
         pid: usize,
-        label: &str,
+        label: impl Into<Cow<'static, str>>,
         at: f64,
         phase: Option<u32>,
         preds: &[EventId],
     ) -> Option<EventId> {
-        let inner = self.inner.as_ref()?;
-        let mut g = inner.lock().unwrap();
-        let pid = pid as u32;
-        let seq = {
-            let next = g.next_seq.entry(pid).or_insert(0);
-            *next += 1;
-            *next
-        };
-        let id = EventId { pid, seq };
-        if g.events.len() >= g.capacity {
-            g.events.pop_front();
-            g.dropped += 1;
-        }
-        g.events.push_back(CausalEvent {
-            id,
+        let mut g = self.lock()?;
+        Some(g.push(
+            pid as u32,
+            label.into(),
             at,
-            label: label.to_owned(),
             phase,
-            preds: preds.to_vec(),
-        });
-        g.last.insert(pid, id);
-        Some(id)
+            Preds::collect(preds.len(), preds.iter().copied()),
+        ))
+    }
+
+    /// Record `pid`'s next event in program order: its predecessors are
+    /// `pid`'s own previous event plus `deliveries` (the events whose
+    /// effects it absorbed since), sorted and deduplicated. One lock; no
+    /// allocation for a `&'static str` label and at most two predecessors.
+    pub fn record_next(
+        &self,
+        pid: usize,
+        label: impl Into<Cow<'static, str>>,
+        at: f64,
+        phase: Option<u32>,
+        deliveries: &[EventId],
+    ) -> Option<EventId> {
+        let mut g = self.lock()?;
+        let own = g.last(pid as u32);
+        let mut preds = Preds::collect(
+            own.is_some() as usize + deliveries.len(),
+            own.into_iter().chain(deliveries.iter().copied()),
+        );
+        preds.sort_dedup();
+        Some(g.push(pid as u32, label.into(), at, phase, preds))
     }
 
     /// The most recent event id recorded by `pid` (`None` when off or when
     /// `pid` has recorded nothing yet).
     pub fn last(&self, pid: usize) -> Option<EventId> {
-        let inner = self.inner.as_ref()?;
-        let g = inner.lock().unwrap();
-        g.last.get(&(pid as u32)).copied()
+        self.lock()?.last(pid as u32)
     }
 
     /// Events evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.lock().unwrap().dropped)
+        self.lock().map_or(0, |g| g.dropped)
     }
 
     /// Snapshot the ring for analysis. Empty graph when off.
     pub fn snapshot(&self) -> CausalGraph {
-        match &self.inner {
+        match self.lock() {
             None => CausalGraph {
                 events: Vec::new(),
                 dropped: 0,
             },
-            Some(inner) => {
-                let g = inner.lock().unwrap();
-                CausalGraph {
-                    events: g.events.iter().cloned().collect(),
-                    dropped: g.dropped,
-                }
-            }
+            Some(g) => CausalGraph {
+                events: g
+                    .events
+                    .iter()
+                    .map(|s| CausalEvent {
+                        id: s.id,
+                        at: s.at,
+                        label: s.label.to_string(),
+                        phase: s.phase,
+                        preds: s.preds.as_slice().to_vec(),
+                    })
+                    .collect(),
+                dropped: g.dropped,
+            },
         }
     }
 }
@@ -540,6 +667,47 @@ mod tests {
         let g = r.snapshot();
         assert_eq!(g.events.len(), 3);
         assert_eq!(g.events[2].preds, vec![a, b]);
+    }
+
+    #[test]
+    fn record_next_links_program_order_and_deliveries() {
+        let r = CausalRecorder::bounded(16);
+        let a = r.record_next(0, "a", 0.0, None, &[]).unwrap();
+        let b = r.record_next(1, "b", 0.1, None, &[a, a]).unwrap();
+        // Own previous event first in sort order or not, duplicates or
+        // not, inline (<= 2) or spilled (> 2): always sorted and deduped.
+        let c = r.record_next(0, "c", 0.2, None, &[b]).unwrap();
+        let d = r
+            .record_next(1, "d", 0.3, None, &[c, id(7, 7), a, c])
+            .unwrap();
+        assert_eq!(r.last(1), Some(d));
+        let g = r.snapshot();
+        assert_eq!(g.events[0].preds, vec![]);
+        assert_eq!(g.events[1].preds, vec![a]);
+        assert_eq!(g.events[2].preds, vec![a, b]);
+        assert_eq!(g.events[3].preds, vec![a, c, b, id(7, 7)]);
+        assert_eq!(
+            CausalRecorder::off().record_next(0, "x", 0.0, None, &[a]),
+            None
+        );
+    }
+
+    /// An always-on recorder reaches 2^32 events on one seat in days; the
+    /// wrap skips 0, which marks "no event yet" in the pid-indexed vector.
+    #[test]
+    fn seq_wraps_past_zero() {
+        let r = CausalRecorder::bounded(8);
+        r.lock().unwrap().last_seq = vec![0, u32::MAX - 1];
+        let a = r.record_next(1, "a", 0.0, None, &[]).unwrap();
+        let b = r.record_next(1, "b", 1.0, None, &[]).unwrap();
+        let c = r.record_next(1, "c", 2.0, None, &[]).unwrap();
+        assert_eq!([a, b, c], [id(1, u32::MAX), id(1, 1), id(1, 2)]);
+        assert_eq!(r.last(1), Some(c));
+        assert_eq!(r.last(0), None, "a seat that never recorded stays empty");
+        let g = r.snapshot();
+        assert_eq!(g.events[0].preds, vec![id(1, u32::MAX - 1)]);
+        assert_eq!(g.events[1].preds, vec![a]);
+        assert_eq!(g.events[2].preds, vec![b]);
     }
 
     #[test]
