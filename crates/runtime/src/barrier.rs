@@ -15,15 +15,27 @@
 //! Every shared word is a [`CheckedWord`]: detectable corruption repairs
 //! from the shadow; forged-but-well-formed words are bounded by the epoch
 //! discipline (a participant only acts on *exactly* its own epoch).
+//!
+//! # What a fault-free crossing costs
+//!
+//! No allocation, no clock read (unless a deadline was asked for), no
+//! reference-count update, and no lock that two participants take. A
+//! participant locks its own flight-recorder ring and the shadow of the
+//! word it publishes (its slot; for the root, the phase and release
+//! words); it reads its children's slot words and recorder words, and the
+//! release, phase and break words. Everything else it touches is its own.
+//! Another participant's shadow is locked only to repair a corrupted word,
+//! and the rings are locked together only to take a dump.
 
+use crate::flight::{Dep, Flight, Step};
 use crate::policy::FailurePolicy;
+use crate::wait::WaitPolicy;
 use crate::word::CheckedWord;
-use crossbeam::utils::{Backoff, CachePadded};
-use ftbarrier_telemetry::{CausalRecorder, EventId};
+use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Slot payloads.
 const EMPTY: u8 = 0;
@@ -84,30 +96,30 @@ impl std::fmt::Display for BarrierError {
 
 impl std::error::Error for BarrierError {}
 
+/// Children of participant `i` in the `arity`-ary tree over `0..n`.
+pub(crate) fn children(n: usize, arity: usize, i: usize) -> impl Iterator<Item = usize> {
+    let first = arity * i + 1;
+    (first..first + arity).take_while(move |&c| c < n)
+}
+
 struct Shared {
     n: usize,
     arity: usize,
     policy: FailurePolicy,
+    wait: WaitPolicy,
     slots: Vec<CachePadded<CheckedWord>>,
     release: CachePadded<CheckedWord>,
     /// Epoch field carries the current phase number.
     phase_word: CachePadded<CheckedWord>,
     broken: AtomicBool,
     /// Always-on causal flight recorder: arrivals, releases, and timeout
-    /// detections of every participant, in one bounded ring.
-    recorder: CausalRecorder,
-    /// Wall-clock origin of the recorder's timestamps.
-    started: Instant,
+    /// detections of every participant, each in its own bounded ring.
+    recorder: Flight,
     /// The most recent wedge dump (written by a firing fail-stop detector).
     flight: Mutex<Option<String>>,
 }
 
 impl Shared {
-    fn children(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let first = self.arity * i + 1;
-        (first..first + self.arity).take_while(move |&c| c < self.n)
-    }
-
     /// Re-publish the root's last release (and the phase word it covers) if
     /// an undetectable fault overwrote either with a different well-formed
     /// word. Phase first, release second — same order as the original
@@ -129,18 +141,19 @@ impl Shared {
         }
     }
 
-    /// Record a causal event for participant `id`: predecessors are its own
-    /// previous event plus any cross-participant dependencies (the arrivals
-    /// a parent consumed, the release a waiter observed).
-    fn record(&self, id: usize, label: &'static str, phase: u64, deps: &[EventId]) {
-        self.recorder.record_next(
-            id,
-            label,
-            self.started.elapsed().as_secs_f64(),
-            Some(phase as u32),
-            deps,
-        );
+    /// Dump the flight recorder as `kind`, blaming the silent participant.
+    fn flight_json(&self, kind: &str, reason: &str) -> String {
+        self.recorder
+            .snapshot()
+            .to_flight_json("ft_barrier", self.n, kind, reason)
     }
+}
+
+/// How a parent's wait for one child's arrival ended.
+enum ChildWait {
+    Arrived(u8),
+    Broken,
+    TimedOut,
 }
 
 /// Targets for fault injection (see [`FtBarrier::corrupt`]).
@@ -182,6 +195,9 @@ pub struct Participant {
     /// Non-root only: the last published `(epoch, payload)` arrival,
     /// re-asserted while waiting for the matching release.
     published_slot: Option<(u64, u8)>,
+    /// The recorder events this crossing's arrival depends on, one per
+    /// child consumed; allocated once, for all the children.
+    deps: Vec<Dep>,
     entered: bool,
     broken: bool,
 }
@@ -218,7 +234,8 @@ impl FtBarrierBuilder {
     }
 
     /// Capacity of the always-on causal flight recorder (default 8192
-    /// recent events; older ones are evicted and counted).
+    /// recent events, shared out evenly among the participants' rings;
+    /// older ones are evicted and counted).
     pub fn flight_capacity(mut self, capacity: usize) -> FtBarrierBuilder {
         self.flight_capacity = capacity;
         self
@@ -226,21 +243,26 @@ impl FtBarrierBuilder {
 
     pub fn build(self) -> (FtBarrier, Vec<Participant>) {
         assert!(self.n >= 1, "a barrier needs at least one participant");
+        let (n, arity) = (self.n, self.arity);
         let shared = Arc::new(Shared {
-            n: self.n,
-            arity: self.arity,
+            n,
+            arity,
             policy: self.policy,
-            slots: (0..self.n)
+            wait: WaitPolicy::observe(n),
+            slots: (0..n)
                 .map(|_| CachePadded::new(CheckedWord::new(0, EMPTY)))
                 .collect(),
             release: CachePadded::new(CheckedWord::new(0, ADVANCE)),
             phase_word: CachePadded::new(CheckedWord::new(0, 0)),
             broken: AtomicBool::new(false),
-            recorder: CausalRecorder::bounded(self.flight_capacity),
-            started: Instant::now(),
+            // A parent depends on each child's arrival; everyone else's
+            // events depend on at most the root's release.
+            recorder: Flight::new(n, self.flight_capacity, |i| {
+                children(n, arity, i).count().max(1)
+            }),
             flight: Mutex::new(None),
         });
-        let participants = (0..self.n)
+        let participants = (0..n)
             .map(|id| Participant {
                 shared: Arc::clone(&shared),
                 id,
@@ -249,6 +271,7 @@ impl FtBarrierBuilder {
                 pending_root: None,
                 published_root: None,
                 published_slot: None,
+                deps: Vec::with_capacity(children(n, arity, id).count()),
                 entered: false,
                 broken: false,
             })
@@ -298,12 +321,7 @@ impl FtBarrier {
     /// Dump the flight recorder's current contents on demand (for a
     /// watchdog outside the barrier, or post-mortem inspection).
     pub fn flight_snapshot(&self, reason: &str) -> String {
-        self.shared.recorder.snapshot().to_flight_json(
-            "ft_barrier",
-            self.shared.n,
-            "snapshot",
-            reason,
-        )
+        self.shared.flight_json("snapshot", reason)
     }
 
     /// Fault injection: scribble a raw value over one of the barrier's
@@ -355,10 +373,7 @@ impl Participant {
     /// The root's release is still awaited unconditionally: a crashed *root*
     /// is outside this detector's scope (the paper's process 0 is equally
     /// distinguished; restart it to make the fault eventually correctable).
-    pub fn arrive_timeout(
-        &mut self,
-        deadline: std::time::Duration,
-    ) -> Result<PhaseOutcome, BarrierError> {
+    pub fn arrive_timeout(&mut self, deadline: Duration) -> Result<PhaseOutcome, BarrierError> {
         self.enter_with_timeout(true, Some(deadline))?;
         self.leave()
     }
@@ -379,7 +394,7 @@ impl Participant {
     fn enter_with_timeout(
         &mut self,
         ok: bool,
-        deadline: Option<std::time::Duration>,
+        deadline: Option<Duration>,
     ) -> Result<(), BarrierError> {
         if self.broken || self.shared.broken.load(Ordering::Acquire) {
             self.broken = true;
@@ -388,73 +403,82 @@ impl Participant {
         if self.entered {
             return Err(BarrierError::Misuse("enter() called twice without leave()"));
         }
-        let started = std::time::Instant::now();
+        let shared = &*self.shared;
+        // The only clock this crossing reads; a deadline too far off to
+        // represent is no deadline.
+        let give_up_at = deadline.and_then(|d| Instant::now().checked_add(d));
         let e = self.epoch;
         let mut failed = !ok;
-        let shared = Arc::clone(&self.shared);
         // Happens-before edges into this crossing's arrival: the latest
         // event of each child whose slot we consumed.
-        let mut deps: Vec<EventId> = Vec::new();
-        'children: for c in shared.children(self.id) {
-            let backoff = Backoff::new();
-            loop {
+        self.deps.clear();
+        let published_root = self.published_root;
+        for c in children(shared.n, shared.arity, self.id) {
+            let waited = shared.wait.until(|| {
                 let (ce, payload) = shared.slots[c].load();
                 if ce == e && payload != EMPTY {
-                    failed |= payload != ARRIVED_OK;
-                    deps.extend(shared.recorder.last(c));
-                    break;
+                    return Some(ChildWait::Arrived(payload));
                 }
                 if shared.broken.load(Ordering::Acquire) {
-                    self.broken = true;
-                    return Err(BarrierError::Broken);
+                    return Some(ChildWait::Broken);
                 }
-                if let Some(d) = deadline {
-                    if started.elapsed() >= d {
-                        // Fail-stop detected: the missing subtree counts as
-                        // a detectable fault. Dump the flight recorder —
-                        // the silent subtree's causal trail ends exactly at
-                        // the culpable participants.
-                        failed = true;
-                        shared.record(self.id, "fault:timeout", self.phase, &deps);
-                        *shared.flight.lock() = Some(shared.recorder.snapshot().to_flight_json(
-                            "ft_barrier",
-                            shared.n,
-                            "wedge",
-                            "arrive-timeout",
-                        ));
-                        break 'children;
-                    }
+                if give_up_at.is_some_and(|at| Instant::now() >= at) {
+                    return Some(ChildWait::TimedOut);
                 }
                 // A missing child may itself be stuck on the previous
                 // release if a fault erased it after we published; keep the
                 // last publication asserted while we wait.
-                if let Some((pe, outcome, phase)) = self.published_root {
+                if let Some((pe, outcome, phase)) = published_root {
                     shared.reassert_root(pe, outcome, phase);
                 }
-                if backoff.is_completed() {
-                    std::thread::yield_now();
-                } else {
-                    backoff.snooze();
+                None
+            });
+            match waited {
+                ChildWait::Arrived(payload) => {
+                    failed |= payload != ARRIVED_OK;
+                    self.deps.extend(shared.recorder.last(c, e));
+                }
+                ChildWait::Broken => {
+                    self.broken = true;
+                    return Err(BarrierError::Broken);
+                }
+                ChildWait::TimedOut => {
+                    // Fail-stop detected: the missing subtree counts as a
+                    // detectable fault. Dump the flight recorder — the
+                    // silent subtree's causal trail ends exactly at the
+                    // culpable participants.
+                    failed = true;
+                    shared
+                        .recorder
+                        .record(self.id, Step::Timeout, e, self.phase, &self.deps);
+                    *shared.flight.lock() = Some(shared.flight_json("wedge", "arrive-timeout"));
+                    break;
                 }
             }
         }
-        let arrive_label = if failed { "arrive:failed" } else { "arrive" };
+        // Record before publishing, so whoever consumes the publication
+        // (the parent this arrival, a waiter the root's release) sees the
+        // event as this participant's latest.
+        let step = if failed {
+            Step::ArriveFailed
+        } else {
+            Step::Arrive
+        };
+        shared
+            .recorder
+            .record(self.id, step, e, self.phase, &self.deps);
         if self.id == 0 {
-            shared.record(0, arrive_label, self.phase, &deps);
-            self.root_publish(e, failed)?;
+            self.root_publish(e, failed);
         } else {
             let payload = if failed { ARRIVED_FAILED } else { ARRIVED_OK };
-            // Record before publishing the slot, so a parent that consumes
-            // the arrival sees this event as the child's latest.
-            shared.record(self.id, arrive_label, self.phase, &deps);
-            self.shared.slots[self.id].store(e, payload);
+            shared.slots[self.id].store(e, payload);
             self.published_slot = Some((e, payload));
         }
         self.entered = true;
         Ok(())
     }
 
-    fn root_publish(&mut self, epoch: u64, failed: bool) -> Result<(), BarrierError> {
+    fn root_publish(&mut self, epoch: u64, failed: bool) {
         let outcome = if !failed {
             ADVANCE
         } else {
@@ -475,15 +499,15 @@ impl Participant {
         if outcome == BROKEN {
             self.shared.broken.store(true, Ordering::Release);
         }
-        // Record before publishing, so waiters that observe the release see
-        // this event as the root's latest.
-        self.shared.record(0, "release", new_phase, &[]);
+        // Recorded before it is published, like the arrival.
+        self.shared
+            .recorder
+            .record(0, Step::Release, epoch, new_phase, &[]);
         // Publish the phase before the release that covers it.
         self.shared.phase_word.store(new_phase, 0);
         self.shared.release.store(epoch, outcome);
         self.pending_root = Some((outcome, new_phase));
         self.published_root = Some((epoch, outcome, new_phase));
-        Ok(())
     }
 
     /// Fuzzy barrier, second half: wait for the release and learn the
@@ -498,34 +522,33 @@ impl Participant {
             // authoritative (immune to phase-word forgery).
             pending
         } else {
-            let backoff = Backoff::new();
-            let outcome = loop {
-                let (re, o) = self.shared.release.load();
+            let shared = &*self.shared;
+            let (id, published_slot) = (self.id, self.published_slot);
+            let outcome = shared.wait.until(|| {
+                let (re, o) = shared.release.load();
                 if re == e {
-                    break o;
+                    return Some(o);
                 }
                 // The fail-safe break flag is authoritative even if the
                 // BROKEN release word itself was erased by a fault (the
                 // root returns an error and never re-asserts it).
-                if self.shared.broken.load(Ordering::Acquire) {
-                    break BROKEN;
+                if shared.broken.load(Ordering::Acquire) {
+                    return Some(BROKEN);
                 }
                 // Keep our arrival asserted: a fault that erased the slot
                 // before the parent consumed it would otherwise stall the
                 // sweep — and this release — forever.
-                if let Some((se, payload)) = self.published_slot {
-                    self.shared.reassert_slot(self.id, se, payload);
+                if let Some((se, payload)) = published_slot {
+                    shared.reassert_slot(id, se, payload);
                 }
-                if backoff.is_completed() {
-                    std::thread::yield_now();
-                } else {
-                    backoff.snooze();
-                }
-            };
-            let (phase, _) = self.shared.phase_word.load();
+                None
+            });
+            let (phase, _) = shared.phase_word.load();
             // The observed release happens-before this departure.
-            let deps: Vec<EventId> = self.shared.recorder.last(0).into_iter().collect();
-            self.shared.record(self.id, "leave", phase, &deps);
+            let release = shared.recorder.last(0, e);
+            shared
+                .recorder
+                .record(id, Step::Leave, e, phase, release.as_slice());
             (outcome, phase)
         };
         self.epoch += 1;
@@ -992,6 +1015,43 @@ mod tests {
         let snap = FlightDump::parse(&b.flight_snapshot("inspect")).unwrap();
         snap.replay().unwrap();
         assert!(snap.graph.events.iter().any(|ev| ev.id.pid == 1));
+    }
+
+    /// The recorder keeps one ring per participant and stamps events with
+    /// the crossing they belong to, so timestamps tie across participants
+    /// all the time: a snapshot must still put every consumed arrival before
+    /// the parent's own, and the release before every departure.
+    #[test]
+    fn snapshot_merges_the_rings_predecessors_first_and_sums_their_drops() {
+        use ftbarrier_telemetry::FlightDump;
+        // 12 events in all: 4 per ring, i.e. each participant's last two
+        // crossings (arrive + release on the root, arrive + leave elsewhere).
+        let (b, parts) = FtBarrierBuilder::new(3).flight_capacity(12).build();
+        run_threads(parts, |mut p| {
+            for _ in 0..10 {
+                p.arrive().unwrap();
+            }
+        });
+        let snap = FlightDump::parse(&b.flight_snapshot("inspect")).expect("snapshot parses");
+        snap.replay().expect("predecessors precede successors");
+        assert_eq!(snap.graph.events.len(), 12);
+        assert_eq!(snap.dropped, 3 * (20 - 4), "the sum over the rings");
+        let position = |pid: u32, label: &str, at: f64| {
+            snap.graph
+                .events
+                .iter()
+                .position(|ev| ev.id.pid == pid && ev.label == label && ev.at == at)
+                .unwrap_or_else(|| panic!("p{pid} {label} at {at} is in the snapshot"))
+        };
+        for crossing in [9.0, 10.0] {
+            let arrived = position(0, "arrive", crossing);
+            let released = position(0, "release", crossing);
+            assert!(arrived < released);
+            for child in [1, 2] {
+                assert!(position(child, "arrive", crossing) < arrived);
+                assert!(released < position(child, "leave", crossing));
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! combining-tree barrier (the `1 + 2hc` comparator — arrival sweep plus
 //! release, no verdicts, no repair).
 
-use crossbeam::utils::{Backoff, CachePadded};
+use crate::barrier::children;
+use crate::wait::WaitPolicy;
+use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -13,6 +15,7 @@ use std::sync::Arc;
 
 struct CentralShared {
     n: usize,
+    wait: WaitPolicy,
     count: CachePadded<AtomicUsize>,
     sense: CachePadded<AtomicBool>,
 }
@@ -29,6 +32,7 @@ impl CentralBarrier {
         assert!(n >= 1);
         let shared = Arc::new(CentralShared {
             n,
+            wait: WaitPolicy::observe(n),
             count: CachePadded::new(AtomicUsize::new(0)),
             sense: CachePadded::new(AtomicBool::new(false)),
         });
@@ -48,14 +52,10 @@ impl CentralBarrier {
             self.shared.count.store(0, Ordering::Release);
             self.shared.sense.store(s, Ordering::Release);
         } else {
-            let backoff = Backoff::new();
-            while self.shared.sense.load(Ordering::Acquire) != s {
-                if backoff.is_completed() {
-                    std::thread::yield_now();
-                } else {
-                    backoff.snooze();
-                }
-            }
+            let sense = &self.shared.sense;
+            self.shared
+                .wait
+                .until(|| (sense.load(Ordering::Acquire) == s).then_some(()));
         }
     }
 }
@@ -67,6 +67,7 @@ impl CentralBarrier {
 struct TreeShared {
     n: usize,
     arity: usize,
+    wait: WaitPolicy,
     /// Per-participant arrival epoch.
     slots: Vec<CachePadded<AtomicU64>>,
     /// Root's release epoch.
@@ -74,9 +75,10 @@ struct TreeShared {
 }
 
 impl TreeShared {
-    fn children(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let first = self.arity * i + 1;
-        (first..first + self.arity).take_while(move |&c| c < self.n)
+    /// Wait until `word` carries `epoch`.
+    fn reached(&self, word: &AtomicU64, epoch: u64) {
+        self.wait
+            .until(|| (word.load(Ordering::Acquire) >= epoch).then_some(()));
     }
 }
 
@@ -94,6 +96,7 @@ impl TreeBarrier {
         let shared = Arc::new(TreeShared {
             n,
             arity,
+            wait: WaitPolicy::observe(n),
             slots: (0..n)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
@@ -110,29 +113,15 @@ impl TreeBarrier {
 
     pub fn wait(&mut self) {
         let e = self.epoch;
-        let shared = Arc::clone(&self.shared);
-        for c in shared.children(self.id) {
-            let backoff = Backoff::new();
-            while shared.slots[c].load(Ordering::Acquire) < e {
-                if backoff.is_completed() {
-                    std::thread::yield_now();
-                } else {
-                    backoff.snooze();
-                }
-            }
+        let shared = &*self.shared;
+        for c in children(shared.n, shared.arity, self.id) {
+            shared.reached(&shared.slots[c], e);
         }
         if self.id == 0 {
-            self.shared.release.store(e, Ordering::Release);
+            shared.release.store(e, Ordering::Release);
         } else {
-            self.shared.slots[self.id].store(e, Ordering::Release);
-            let backoff = Backoff::new();
-            while self.shared.release.load(Ordering::Acquire) < e {
-                if backoff.is_completed() {
-                    std::thread::yield_now();
-                } else {
-                    backoff.snooze();
-                }
-            }
+            shared.slots[self.id].store(e, Ordering::Release);
+            shared.reached(&shared.release, e);
         }
         self.epoch += 1;
     }

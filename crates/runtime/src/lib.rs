@@ -29,9 +29,11 @@
 pub mod barrier;
 pub mod baseline;
 pub mod detector;
+mod flight;
 pub mod fuzzy;
 pub mod policy;
 pub mod scope;
+mod wait;
 pub mod word;
 
 pub use barrier::CorruptTarget;

@@ -14,6 +14,10 @@ pub struct BarrierClient {
     stream: TcpStream,
     reader: FrameReader,
     queued: VecDeque<ServerFrame>,
+    /// The read timeout the socket is armed with (`SO_RCVTIMEO` as last
+    /// set), so a caller that keeps one timeout pays no `setsockopt` per
+    /// frame.
+    armed: Option<Duration>,
     /// Ring member id assigned by the server's `Welcome`.
     pub member: u32,
     /// Sealed group size.
@@ -42,6 +46,7 @@ impl BarrierClient {
             stream,
             reader: FrameReader::new(),
             queued: VecDeque::new(),
+            armed: None,
             member: 0,
             size,
         };
@@ -90,15 +95,20 @@ impl BarrierClient {
         if let Some(f) = self.queued.pop_front() {
             return Ok(f);
         }
-        let deadline = Instant::now() + timeout;
+        let started = Instant::now();
         let mut buf = [0u8; 4096];
         let mut bodies = Vec::new();
+        // The first read may take the whole `timeout`; one that follows a
+        // partial frame only what is left of it.
+        let mut left = timeout;
         loop {
-            let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return Err(ErrorKind::TimedOut.into());
             }
-            self.stream.set_read_timeout(Some(left))?;
+            if self.armed != Some(left) {
+                self.stream.set_read_timeout(Some(left))?;
+                self.armed = Some(left);
+            }
             match self.stream.read(&mut buf) {
                 Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
                 Ok(n) => {
@@ -118,9 +128,10 @@ impl BarrierClient {
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     return Err(ErrorKind::TimedOut.into());
                 }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
+            left = timeout.saturating_sub(started.elapsed());
         }
     }
 
@@ -213,5 +224,69 @@ pub fn run_client(
         completed,
         killed: false,
         error: None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A server end that sends half a frame and then stalls must not stretch
+    /// the caller's wait past `timeout` (the read after the partial frame is
+    /// re-armed with what is left), and a call with another timeout re-arms.
+    #[test]
+    fn a_stalled_partial_frame_times_out_within_the_timeout() {
+        const TIMEOUT: Duration = Duration::from_millis(600);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (mut server_end, _) = listener.accept().expect("accept");
+        let mut client = BarrierClient {
+            stream,
+            reader: FrameReader::new(),
+            queued: VecDeque::new(),
+            armed: None,
+            member: 0,
+            size: 2,
+        };
+        let frame = ServerFrame::Welcome { member: 0, size: 2 }.to_frame();
+        let half = frame[..frame.len() / 2].to_vec();
+        let stall = std::thread::spawn(move || {
+            std::thread::sleep(TIMEOUT * 2 / 3);
+            server_end.write_all(&half).expect("write half a frame");
+            server_end
+        });
+
+        let started = Instant::now();
+        let err = client.next_frame(TIMEOUT).expect_err("no whole frame came");
+        let waited = started.elapsed();
+        assert_eq!(err.kind(), ErrorKind::TimedOut);
+        assert!(waited >= TIMEOUT, "gave up after {waited:?}");
+        // Re-arming the full timeout after the partial frame would wait
+        // 2/3 + 1 timeouts.
+        assert!(waited < TIMEOUT * 3 / 2, "waited {waited:?}");
+        let rearmed = client.stream.read_timeout().expect("SO_RCVTIMEO");
+        assert!(rearmed.is_some_and(|left| left < TIMEOUT / 2));
+        let mut server_end = stall.join().expect("server end");
+
+        // Another timeout: the socket is armed with it before the read.
+        let short = Duration::from_millis(40);
+        let err = client.next_frame(short).expect_err("still half a frame");
+        assert_eq!(err.kind(), ErrorKind::TimedOut);
+        assert_eq!(
+            client.stream.read_timeout().expect("SO_RCVTIMEO"),
+            Some(short)
+        );
+        assert_eq!(client.armed, Some(short));
+
+        // The rest of the frame completes it; the same timeout is not set again.
+        server_end
+            .write_all(&frame[frame.len() / 2..])
+            .expect("write the rest");
+        assert_eq!(
+            client.next_frame(short).expect("whole frame"),
+            ServerFrame::Welcome { member: 0, size: 2 }
+        );
+        assert_eq!(client.armed, Some(short));
     }
 }

@@ -503,6 +503,51 @@ impl CausalGraph {
     }
 }
 
+impl CausalGraph {
+    /// One graph out of per-pid event lists, each in its pid's record order
+    /// — the snapshot of a recorder that keeps one ring per pid so that
+    /// recording shares nothing between pids. The result is in a record
+    /// order a single ring could have produced: an event comes after every
+    /// predecessor present in `rings`, whatever the timestamps say (logical
+    /// clocks tie across pids all the time). Among the events free to go
+    /// next the earliest timestamp wins, then the lowest list index, so the
+    /// merge is deterministic. A predecessor cycle — no real recording has
+    /// one — is broken at the earliest pending event rather than looped on.
+    pub fn merge(rings: Vec<Vec<CausalEvent>>, dropped: u64) -> CausalGraph {
+        // Every event present, and whether it has been emitted yet.
+        let mut emitted: BTreeMap<EventId, bool> = rings
+            .iter()
+            .flatten()
+            .map(|event| (event.id, false))
+            .collect();
+        let mut events = Vec::with_capacity(rings.iter().map(Vec::len).sum());
+        let mut heads: Vec<_> = rings
+            .into_iter()
+            .map(|ring| ring.into_iter().peekable())
+            .collect();
+        loop {
+            let next = heads
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(ring, head)| {
+                    let event = head.peek()?;
+                    let blocked = event
+                        .preds
+                        .iter()
+                        .any(|pred| emitted.get(pred) == Some(&false));
+                    Some((blocked, event.at, ring))
+                })
+                .min_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+            let Some((_, _, ring)) = next else {
+                return CausalGraph { events, dropped };
+            };
+            let event = heads[ring].next().expect("peeked above");
+            emitted.insert(event.id, true);
+            events.push(event);
+        }
+    }
+}
+
 /// Render an `f64` for JSON without losing precision on integers.
 fn fmt_f64(x: f64) -> String {
     if x == x.trunc() && x.abs() < 1e15 {
@@ -722,6 +767,59 @@ mod tests {
         assert_eq!(g.events[0].label, "b");
         // Seq numbering survives eviction.
         assert_eq!(g.events[1].id, id(0, 3));
+    }
+
+    #[test]
+    fn merge_puts_predecessors_first_whatever_the_timestamps() {
+        let ev = |pid, seq, at, preds: &[EventId]| CausalEvent {
+            id: id(pid, seq),
+            at,
+            label: "e".to_owned(),
+            phase: None,
+            preds: preds.to_vec(),
+        };
+        // One crossing under a logical clock: every event carries the same
+        // timestamp. pid 0 consumes both arrivals and releases; pids 1 and 2
+        // leave on that release. (9, 9) was evicted from its ring.
+        let rings = vec![
+            vec![
+                ev(0, 1, 1.0, &[id(1, 1), id(2, 1)]),
+                ev(0, 2, 1.0, &[id(0, 1)]),
+            ],
+            vec![ev(1, 1, 1.0, &[]), ev(1, 2, 1.0, &[id(0, 2), id(1, 1)])],
+            vec![
+                ev(2, 1, 1.0, &[id(9, 9)]),
+                ev(2, 2, 1.0, &[id(0, 2), id(2, 1)]),
+            ],
+        ];
+        let g = CausalGraph::merge(rings.clone(), 3);
+        let order: Vec<EventId> = g.events.iter().map(|e| e.id).collect();
+        // Sorting on (timestamp, pid) would have put (0, 1) first.
+        assert_eq!(
+            order,
+            [id(1, 1), id(2, 1), id(0, 1), id(0, 2), id(1, 2), id(2, 2)]
+        );
+        assert_eq!(g.dropped, 3);
+        assert_eq!(g.critical_path().len, 4);
+        FlightDump::parse(&g.to_flight_json("p", 3, "snapshot", "t"))
+            .expect("parses")
+            .replay()
+            .expect("every predecessor precedes its successor");
+        // Where the predecessors allow it, the earlier timestamp goes first.
+        let mut late = rings;
+        late[1][0].at = 0.5;
+        late[2][0].at = 0.25;
+        let g = CausalGraph::merge(late, 0);
+        assert_eq!(g.events[0].id, id(2, 1));
+        assert_eq!(g.events[1].id, id(1, 1));
+        // A garbled input with a cycle still comes out whole.
+        let cyclic = vec![
+            vec![ev(0, 1, 2.0, &[id(1, 1)])],
+            vec![ev(1, 1, 1.0, &[id(0, 1)])],
+        ];
+        let g = CausalGraph::merge(cyclic, 0);
+        assert_eq!(g.events.len(), 2);
+        assert_eq!(g.events[0].id, id(1, 1));
     }
 
     #[test]
