@@ -60,7 +60,7 @@ pub use channel::{ChannelFaults, Delivery, FaultyReceiver, FaultySender};
 pub use clock::{Clock, TestClock, WallClock};
 pub use mb::{MbConfig, MbProcessHandle, MbReport, MbRun};
 pub use mb_sim::{
-    ChurnConfig, CrashPlan, FaultPlan, PartitionPlan, SimMbConfig, SimMbReport, WireMsg,
+    ChurnConfig, CrashPlan, FaultPlan, PartitionPlan, SimMbConfig, SimMbReport, TraceLog, WireMsg,
 };
 pub use proc::{sn_domain, try_sn_domain, MbCore, Process, StateMsg};
 pub use simnet::{LatencyModel, LinkConfig, NetStats, SimNet};

@@ -4,9 +4,10 @@
 //!
 //! One seed determines everything — per-link latencies and fault draws, the
 //! fault plan's random perturbation values, the event interleaving — so a
-//! run is byte-for-byte replayable: [`SimMbReport::trace`] of two runs with
-//! the same [`SimMbConfig`] is identical, and every test and experiment on
-//! this backend is free of wall-clock effects.
+//! run is byte-for-byte replayable: the [`TraceLog`] of two runs with the
+//! same [`SimMbConfig`] is identical (entry for entry, and so in its
+//! rendered text), and every test and experiment on this backend is free of
+//! wall-clock effects.
 //!
 //! The fault plan covers the paper's full fault menu: message loss,
 //! duplication, reordering and detectable corruption (per-link
@@ -62,7 +63,7 @@ use ftbarrier_topology::SweepDag;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt::Write as _;
+use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -212,6 +213,63 @@ pub struct WireMsg {
     pub msg: StateMsg,
 }
 
+/// One line of a [`TraceLog`]. The per-event lines are stored as the values
+/// they print; the rare fault and membership lines are rendered when they
+/// happen.
+#[derive(Debug, Clone, PartialEq)]
+enum TraceEntry {
+    /// `t {at} deliver x{count}`: a network scheduling point.
+    Deliver { at: Time, count: usize },
+    /// `  p{pid} -> {own:?} adv={advances}`: a process moved and gossiped.
+    Move {
+        pid: usize,
+        own: StateMsg,
+        advances: u64,
+    },
+    /// `t {at} work-done p{pid} tok={token}`: a phase body finished.
+    WorkDone { at: Time, pid: usize, token: u64 },
+    /// Any other line, already rendered (without its newline).
+    Text(Box<str>),
+}
+
+/// The deterministic run log of [`run`]: the same lines the run always
+/// logged, kept as data and formatted only by [`TraceLog::render`] (or
+/// `Display`), so a run nobody reads pays no formatting. Equal logs render
+/// to equal text.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TraceLog {
+    entries: Vec<TraceEntry>,
+}
+
+impl TraceLog {
+    /// The log as text, one `\n`-terminated line per entry.
+    pub fn render(&self) -> String {
+        self.to_string()
+    }
+
+    fn text(&mut self, line: fmt::Arguments<'_>) {
+        self.entries.push(TraceEntry::Text(line.to_string().into()));
+    }
+}
+
+impl fmt::Display for TraceLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for e in &self.entries {
+            match e {
+                TraceEntry::Deliver { at, count } => writeln!(f, "t {at} deliver x{count}")?,
+                TraceEntry::Move { pid, own, advances } => {
+                    writeln!(f, "  p{pid} -> {own:?} adv={advances}")?
+                }
+                TraceEntry::WorkDone { at, pid, token } => {
+                    writeln!(f, "t {at} work-done p{pid} tok={token}")?
+                }
+                TraceEntry::Text(line) => writeln!(f, "{line}")?,
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Result of a deterministic MB run.
 #[derive(Debug)]
 pub struct SimMbReport {
@@ -234,9 +292,9 @@ pub struct SimMbReport {
     /// counted separately in [`SimMbReport::churn_checks`]).
     pub events_processed: u64,
     pub net: NetStats,
-    /// Full deterministic run log: byte-identical across runs of the same
-    /// config, diverging for different seeds.
-    pub trace: String,
+    /// Full deterministic run log: identical across runs of the same config,
+    /// diverging for different seeds. Text only on [`TraceLog::render`].
+    pub trace: TraceLog,
     /// Periodic membership checks run (0 with churn disabled).
     pub churn_checks: u64,
     /// Processes suspected fail-stop and spliced out.
@@ -370,7 +428,7 @@ struct Driver {
     messages_sent: Vec<u64>,
     advances: u64,
     fault_rng: SimRng,
-    trace: String,
+    trace: TraceLog,
     events_processed: u64,
     // --- dynamic membership (inert when `cfg.churn` is `None`) ---
     membership: Option<Membership>,
@@ -413,11 +471,11 @@ impl Driver {
             self.advances += out.advances;
             if out.moved {
                 self.gossip(pid);
-                let _ = writeln!(
-                    self.trace,
-                    "  p{pid} -> {:?} adv={}",
-                    self.cores[pid].own, out.advances
-                );
+                self.trace.entries.push(TraceEntry::Move {
+                    pid,
+                    own: self.cores[pid].own,
+                    advances: out.advances,
+                });
             }
             if self.cores[pid].needs_work() {
                 let token = self.cores[pid].work_token;
@@ -436,7 +494,8 @@ impl Driver {
     }
 
     fn poison(&mut self, pid: usize, kind: &str) {
-        let _ = writeln!(self.trace, "t {} {kind} p{pid}", self.now);
+        self.trace
+            .text(format_args!("t {} {kind} p{pid}", self.now));
         if kind == "scramble" {
             self.cores[pid].apply_scramble(self.now);
         } else {
@@ -491,7 +550,8 @@ impl Driver {
         }
         let e = mem.epoch();
         self.suspicions += 1;
-        let _ = writeln!(self.trace, "t {} suspect p{pid} epoch {e}", self.now);
+        self.trace
+            .text(format_args!("t {} suspect p{pid} epoch {e}", self.now));
         self.push_segment();
         self.sync_routing();
         // The root initiates the new epoch; its gossip sweeps it around the
@@ -518,7 +578,8 @@ impl Driver {
         }
         let e = mem.epoch();
         self.rejoins += 1;
-        let _ = writeln!(self.trace, "t {} readmit p{pid} epoch {e}", self.now);
+        self.trace
+            .text(format_args!("t {} readmit p{pid} epoch {e}", self.now));
         self.push_segment();
         self.sync_routing();
         let up = self.churn.borrow().pred_link[pid];
@@ -592,12 +653,11 @@ impl Driver {
             if min_e >= e {
                 self.pending_epochs.remove(i);
                 self.reconfig_latencies.push(now - t0);
-                let _ = writeln!(
-                    self.trace,
+                self.trace.text(format_args!(
                     "t {} epoch {e} settled dt {:.3}",
                     self.now,
                     now - t0
-                );
+                ));
             } else {
                 i += 1;
             }
@@ -622,7 +682,11 @@ impl Driver {
             }
             Ctl::WorkDone { pid, token } => {
                 if self.alive[pid] {
-                    let _ = writeln!(self.trace, "t {} work-done p{pid} tok={token}", self.now);
+                    self.trace.entries.push(TraceEntry::WorkDone {
+                        at: self.now,
+                        pid,
+                        token,
+                    });
                     self.cores[pid].complete_work(token);
                     self.drive(pid);
                 }
@@ -639,7 +703,8 @@ impl Driver {
             }
             Ctl::ScrambleCopy { pid } => {
                 if self.alive[pid] {
-                    let _ = writeln!(self.trace, "t {} scramble-copy p{pid}", self.now);
+                    self.trace
+                        .text(format_args!("t {} scramble-copy p{pid}", self.now));
                     self.cores[pid].apply_copy_scramble(self.now);
                     // `own` is intact, so no gossip — but the corrupted copy
                     // may enable token actions at `pid` right now.
@@ -653,22 +718,20 @@ impl Driver {
                 let hit = self.net.borrow_mut().corrupt_in_flight(link, &mut |w| {
                     w.msg.sn = Sn::Val(forged);
                 });
-                let _ = writeln!(
-                    self.trace,
+                self.trace.text(format_args!(
                     "t {} forge link {link} sn={forged} x{hit}",
                     self.now
-                );
+                ));
             }
             Ctl::EpochForge { link } => {
                 let forged = self.fault_rng.next_u64();
                 let hit = self.net.borrow_mut().corrupt_in_flight(link, &mut |w| {
                     w.epoch = forged;
                 });
-                let _ = writeln!(
-                    self.trace,
+                self.trace.text(format_args!(
                     "t {} forge-epoch link {link} e={forged} x{hit}",
                     self.now
-                );
+                ));
             }
             Ctl::ScrambleView { pid } => {
                 let e = self.fault_rng.next_u64();
@@ -678,18 +741,18 @@ impl Driver {
                     sh.epoch[pid] = e;
                     sh.pred_link[pid] = l;
                 }
-                let _ = writeln!(
-                    self.trace,
+                self.trace.text(format_args!(
                     "t {} scramble-view p{pid} e={e} link {l}",
                     self.now
-                );
+                ));
             }
             Ctl::Crash { pid } => {
-                let _ = writeln!(self.trace, "t {} crash p{pid}", self.now);
+                self.trace.text(format_args!("t {} crash p{pid}", self.now));
                 self.alive[pid] = false;
             }
             Ctl::Reboot { pid } => {
-                let _ = writeln!(self.trace, "t {} reboot p{pid}", self.now);
+                self.trace
+                    .text(format_args!("t {} reboot p{pid}", self.now));
                 self.alive[pid] = true;
                 if self.membership.as_ref().is_some_and(|m| !m.is_alive(pid)) {
                     // Detected and spliced while down: rejoin through the
@@ -705,11 +768,13 @@ impl Driver {
                 }
             }
             Ctl::Cut { link } => {
-                let _ = writeln!(self.trace, "t {} cut link {link}", self.now);
+                self.trace
+                    .text(format_args!("t {} cut link {link}", self.now));
                 self.net.borrow_mut().set_partitioned(link, true);
             }
             Ctl::Heal { link } => {
-                let _ = writeln!(self.trace, "t {} heal link {link}", self.now);
+                self.trace
+                    .text(format_args!("t {} heal link {link}", self.now));
                 self.net.borrow_mut().set_partitioned(link, false);
             }
             Ctl::PoissonPoison => {
@@ -729,7 +794,7 @@ impl Driver {
 }
 
 /// Run program MB deterministically. Two calls with equal configs return
-/// byte-identical reports (including [`SimMbReport::trace`]).
+/// identical reports (including the [`TraceLog`] in [`SimMbReport::trace`]).
 pub fn run(cfg: SimMbConfig) -> SimMbReport {
     run_with_telemetry(cfg, &Telemetry::off())
 }
@@ -739,14 +804,15 @@ pub fn run(cfg: SimMbConfig) -> SimMbReport {
 /// `mb_phase_duration` histogram (see [`crate::telemetry`]), plus the
 /// membership metric family when churn is enabled. With a disabled handle
 /// this is exactly [`run`]; with an enabled one the [`SimMbReport::trace`]
-/// is still byte-identical — recording never draws from the simulation's
+/// is still identical — recording never draws from the simulation's
 /// RNG streams.
 pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbReport {
     assert!(cfg.n >= 2, "MB needs at least two processes");
     assert!(cfg.n_phases >= 2);
     assert!(
-        cfg.retransmit_every > 0.0,
-        "retransmit period must be positive"
+        cfg.retransmit_every > 0.0 && cfg.retransmit_every.is_finite(),
+        "retransmit_every must be positive and finite, got {}",
+        cfg.retransmit_every
     );
     assert!(cfg.phase_cost >= 0.0 && cfg.phase_cost.is_finite());
     assert!(
@@ -804,7 +870,7 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
         messages_sent: vec![0; n],
         advances: 0,
         fault_rng: rng.fork(),
-        trace: String::new(),
+        trace: TraceLog::default(),
         events_processed: 0,
         membership,
         churn: churn_shared,
@@ -877,6 +943,7 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
     let max_time = Time::new(d.cfg.max_time);
     let mut reached = d.advances >= d.cfg.target_phases;
     let mut wedge_reason = "target-not-reached";
+    let mut touched = Vec::new();
     while !reached {
         let t_net = d.net.borrow().next_event_time();
         let t_ctl = d.ctl.peek().map(|Reverse((t, _, _))| *t);
@@ -919,11 +986,14 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
         // Always advance the network clock to the scheduling point, even for
         // control events — messages sent while handling them must be
         // timestamped at `t`, not at the network's last delivery time.
-        let touched = d.net.borrow_mut().advance_to(t);
+        d.net.borrow_mut().advance_to(t, &mut touched);
         if is_net {
-            let _ = writeln!(d.trace, "t {} deliver x{}", d.now, touched.len());
+            d.trace.entries.push(TraceEntry::Deliver {
+                at: t,
+                count: touched.len(),
+            });
         }
-        for link in touched {
+        for &link in &touched {
             if d.membership.is_some() {
                 d.last_heard[link] = t.as_f64();
             }
@@ -986,11 +1056,10 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
     }
 
     let net_stats = d.net.borrow().stats();
-    let _ = writeln!(
-        d.trace,
+    d.trace.text(format_args!(
         "end t {} advances {} events {} net {:?}",
         d.now, d.advances, d.events_processed, net_stats
-    );
+    ));
     let flight_dump = if reached {
         None
     } else {

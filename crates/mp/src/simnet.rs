@@ -13,7 +13,9 @@
 //! `(Time, seq)` with `seq` a monotone counter, so the delivery order is a
 //! pure function of the seed — no hashing, no wall clock. The driver
 //! alternates between `next_event_time` and `advance_to`, which moves due
-//! messages into per-link inboxes in deterministic order.
+//! messages into per-link inboxes in deterministic order. Once the queue,
+//! the inboxes and the driver's `advance_to` buffer have grown to the run's
+//! working size, neither a send nor a delivery allocates.
 
 use crate::channel::{ChannelFaults, Delivery};
 use ftbarrier_gcs::{SimRng, Time};
@@ -286,24 +288,23 @@ impl<T: Clone> SimNet<T> {
         };
 
         // Reordering: park this message; release any previously held one
-        // after the next send (a swap of adjacent messages).
-        let mut to_send: Vec<(Delivery<T>, Option<EventId>)> = Vec::with_capacity(3);
+        // after the next send (a swap of adjacent messages). Copies are
+        // scheduled straight onto the queue, in a fixed order: this one,
+        // then the released held one, then the duplicate.
+        let dup = duplicate.then(|| delivery.clone());
         if hold && self.links[link].held.is_none() {
             self.stats.held += 1;
-            self.links[link].held = Some((delivery.clone(), tag));
+            self.links[link].held = Some((delivery, tag));
         } else {
-            to_send.push((delivery.clone(), tag));
-            if let Some(prev) = self.links[link].held.take() {
-                to_send.push(prev);
+            self.schedule(link, delivery, tag);
+            if let Some((prev, prev_tag)) = self.links[link].held.take() {
+                self.schedule(link, prev, prev_tag);
             }
         }
-        if duplicate {
+        if let Some(copy) = dup {
             self.stats.duplicated += 1;
             self.count("net_duplicated_total", link);
-            to_send.push((delivery, tag));
-        }
-        for (d, t) in to_send {
-            self.schedule(link, d, t);
+            self.schedule(link, copy, tag);
         }
     }
 
@@ -320,12 +321,14 @@ impl<T: Clone> SimNet<T> {
     }
 
     /// Advance virtual time to `t`, moving every message due at or before
-    /// `t` into its link's inbox. Returns the link ids that received
-    /// something, in delivery order (duplicates possible).
-    pub fn advance_to(&mut self, t: Time) -> Vec<usize> {
+    /// `t` into its link's inbox. `touched` is cleared, then filled with the
+    /// link ids that received something, in delivery order (duplicates
+    /// possible) — a caller-owned buffer, so a driver loop reusing it
+    /// allocates nothing per step.
+    pub fn advance_to(&mut self, t: Time, touched: &mut Vec<usize>) {
         assert!(t >= self.now, "time went backwards: {} -> {}", self.now, t);
         self.now = t;
-        let mut touched = Vec::new();
+        touched.clear();
         while self.queue.peek().is_some_and(|Reverse(m)| m.at <= self.now) {
             let Reverse(m) = self.queue.pop().expect("peeked");
             self.stats.delivered += 1;
@@ -341,7 +344,6 @@ impl<T: Clone> SimNet<T> {
             touched.push(m.link);
         }
         self.update_depth_gauge();
-        touched
     }
 
     /// Pop the next delivery waiting in `link`'s inbox.
@@ -398,8 +400,12 @@ mod tests {
         n.send(0, 1);
         n.send(0, 2);
         assert_eq!(n.next_event_time(), Some(Time::new(0.5)));
-        assert!(n.advance_to(Time::new(0.4)).is_empty());
-        assert_eq!(n.advance_to(Time::new(0.5)), vec![0, 0]);
+        // The buffer is the caller's: cleared on entry, refilled in order.
+        let mut touched = vec![9];
+        n.advance_to(Time::new(0.4), &mut touched);
+        assert!(touched.is_empty());
+        n.advance_to(Time::new(0.5), &mut touched);
+        assert_eq!(touched, vec![0, 0]);
         assert_eq!(n.pop_inbox(0), Some(Delivery::Ok(1)));
         assert_eq!(n.pop_inbox(0), Some(Delivery::Ok(2)));
         assert_eq!(n.pop_inbox(0), None);
@@ -414,7 +420,7 @@ mod tests {
         assert_eq!(n.stats().blocked, 1);
         n.set_partitioned(0, false);
         n.send(0, 8);
-        n.advance_to(Time::ZERO);
+        n.advance_to(Time::ZERO, &mut Vec::new());
         assert_eq!(n.pop_inbox(0), Some(Delivery::Ok(8)));
     }
 
@@ -431,7 +437,7 @@ mod tests {
         n.send(0, 1); // held
         n.send(0, 2); // releases 1 after 2
         n.flush(0);
-        n.advance_to(Time::ZERO);
+        n.advance_to(Time::ZERO, &mut Vec::new());
         assert_eq!(n.pop_inbox(0), Some(Delivery::Ok(2)));
         assert_eq!(n.pop_inbox(0), Some(Delivery::Ok(1)));
     }
@@ -447,7 +453,7 @@ mod tests {
             3,
         );
         n.send(0, 9);
-        n.advance_to(Time::new(1.0));
+        n.advance_to(Time::new(1.0), &mut Vec::new());
         assert_eq!(n.pop_inbox(0), Some(Delivery::Corrupted));
 
         let mut n = net(
@@ -475,7 +481,7 @@ mod tests {
         for i in 0..100 {
             n.send(0, i);
         }
-        n.advance_to(Time::new(2.0));
+        n.advance_to(Time::new(2.0), &mut Vec::new());
         let mut got = Vec::new();
         while let Some(Delivery::Ok(v)) = n.pop_inbox(0) {
             got.push(v);
@@ -500,7 +506,7 @@ mod tests {
                 n.send(0, i);
             }
             n.flush(0);
-            n.advance_to(Time::new(5.0));
+            n.advance_to(Time::new(5.0), &mut Vec::new());
             while let Some(d) = n.pop_inbox(0) {
                 log.push(format!("{d:?}"));
             }
@@ -514,8 +520,8 @@ mod tests {
     #[should_panic]
     fn time_cannot_go_backwards() {
         let mut n = net(ChannelFaults::NONE, LatencyModel::Fixed(0.0), 1);
-        n.advance_to(Time::new(1.0));
-        n.advance_to(Time::new(0.5));
+        n.advance_to(Time::new(1.0), &mut Vec::new());
+        n.advance_to(Time::new(0.5), &mut Vec::new());
     }
 
     #[test]
@@ -533,7 +539,7 @@ mod tests {
         let hit = n.corrupt_in_flight(0, &mut |v| *v += 100);
         assert_eq!(hit, 2);
         assert_eq!(n.next_event_time(), before, "delivery schedule untouched");
-        n.advance_to(Time::new(0.5));
+        n.advance_to(Time::new(0.5), &mut Vec::new());
         assert_eq!(n.pop_inbox(0), Some(Delivery::Ok(101)));
         assert_eq!(n.pop_inbox(0), Some(Delivery::Ok(102)));
         // A held (reordered) message is part of the in-flight set too.
@@ -548,7 +554,7 @@ mod tests {
         n.send(0, 5); // held
         assert_eq!(n.corrupt_in_flight(0, &mut |v| *v = 9), 1);
         n.flush(0);
-        n.advance_to(Time::ZERO);
+        n.advance_to(Time::ZERO, &mut Vec::new());
         assert_eq!(n.pop_inbox(0), Some(Delivery::Ok(9)));
     }
 
@@ -565,7 +571,7 @@ mod tests {
             1,
         );
         n.send_tagged(0, 1, Some(id(3, 7)));
-        n.advance_to(Time::ZERO);
+        n.advance_to(Time::ZERO, &mut Vec::new());
         assert_eq!(
             n.pop_inbox_tagged(0),
             Some((Delivery::Ok(1), Some(id(3, 7))))
@@ -584,7 +590,7 @@ mod tests {
             1,
         );
         n.send_tagged(0, 2, Some(id(1, 1)));
-        n.advance_to(Time::ZERO);
+        n.advance_to(Time::ZERO, &mut Vec::new());
         assert_eq!(
             n.pop_inbox_tagged(0),
             Some((Delivery::Corrupted, Some(id(1, 1))))
@@ -601,7 +607,7 @@ mod tests {
         n.send_tagged(0, 1, Some(id(0, 1)));
         n.send_tagged(0, 2, Some(id(0, 2)));
         n.flush(0);
-        n.advance_to(Time::ZERO);
+        n.advance_to(Time::ZERO, &mut Vec::new());
         assert_eq!(
             n.pop_inbox_tagged(0),
             Some((Delivery::Ok(2), Some(id(0, 2))))
@@ -613,7 +619,7 @@ mod tests {
         // Untagged sends pop as tagless.
         let mut n = net(ChannelFaults::NONE, LatencyModel::Fixed(0.0), 1);
         n.send(0, 4);
-        n.advance_to(Time::ZERO);
+        n.advance_to(Time::ZERO, &mut Vec::new());
         assert_eq!(n.pop_inbox_tagged(0), Some((Delivery::Ok(4), None)));
     }
 
@@ -632,7 +638,7 @@ mod tests {
                 n.send(0, i);
             }
             n.flush(0);
-            n.advance_to(Time::new(5.0));
+            n.advance_to(Time::new(5.0), &mut Vec::new());
             while let Some(d) = n.pop_inbox(0) {
                 log.push(format!("{d:?}"));
             }

@@ -269,8 +269,9 @@ impl Driver {
 pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
     assert!(cfg.n_phases >= 2);
     assert!(
-        cfg.retransmit_every > 0.0,
-        "retransmit period must be positive"
+        cfg.retransmit_every > 0.0 && cfg.retransmit_every.is_finite(),
+        "retransmit_every must be positive and finite, got {}",
+        cfg.retransmit_every
     );
     let program = Arc::new(SweepBarrier::new(dag, cfg.n_phases));
     let n = program.dag().num_processes();
@@ -343,6 +344,7 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
     let max_time = Time::new(d.cfg.max_time);
     let mut reached = d.advances >= d.cfg.target_phases;
     let mut wedge_reason: Option<&str> = None;
+    let mut touched = Vec::new();
     while !reached {
         let t_net = d.net.next_event_time();
         let t_ctl = d.ctl.peek().map(|Reverse((t, _, _))| *t);
@@ -368,7 +370,8 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
             let Reverse((_, _, ev)) = d.ctl.pop().expect("peeked");
             Some(ev)
         };
-        for link in d.net.advance_to(t) {
+        d.net.advance_to(t, &mut touched);
+        for &link in &touched {
             d.drive(d.dest_of[link], Some(link));
         }
         match ctl_ev {
@@ -627,5 +630,17 @@ mod tests {
                 report.violations
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "retransmit_every must be positive and finite, got inf")]
+    fn infinite_retransmit_period_is_rejected_by_name() {
+        let _ = run(
+            SweepDag::ring(3).unwrap(),
+            SweepSimConfig {
+                retransmit_every: f64::INFINITY,
+                ..Default::default()
+            },
+        );
     }
 }

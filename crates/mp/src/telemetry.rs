@@ -5,8 +5,8 @@
 //!
 //! Telemetry is recorded *after* the run from the same event log the oracle
 //! replays, so enabling it cannot perturb execution: the simulated backend
-//! stays byte-identical (`SimMbReport::trace`), and the threaded backend's
-//! protocol path is untouched.
+//! keeps an identical run log ([`TraceLog`](crate::mb_sim::TraceLog)), and
+//! the threaded backend's protocol path is untouched.
 
 use crate::proc::CpEvent;
 use ftbarrier_core::spec::{Anchor, BarrierOracle, OracleConfig, Violation};

@@ -269,8 +269,111 @@ fn same_seed_is_byte_identical_different_seed_differs() {
 
     let c = run(SimMbConfig { seed: 1235, ..cfg });
     assert_ne!(
-        a.trace, c.trace,
+        a.trace.render(),
+        c.trace.render(),
         "a different seed must take a different run"
+    );
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden rendered trace: recorded when the run log was still written as
+/// text on every event, so this pins the lazily rendered log to the same
+/// bytes — not merely to itself. The config touches every kind of line:
+/// deliveries, moves and work-done under jittery nasty links, Poisson and
+/// scheduled poisons, a crash long enough to be spliced out, its reboot
+/// and readmission, and both epoch settlements.
+#[test]
+fn golden_trace_of_a_nasty_churning_run() {
+    let report = run(SimMbConfig {
+        n: 6,
+        target_phases: 20,
+        seed: 0x60_1D,
+        link: LinkConfig {
+            latency: LatencyModel::Uniform {
+                lo: 0.005,
+                hi: 0.02,
+            },
+            faults: ChannelFaults::nasty(),
+        },
+        max_time: 200.0,
+        plan: FaultPlan {
+            poisons: vec![(8.0, 4)],
+            crashes: vec![CrashPlan {
+                pid: 2,
+                at: 3.0,
+                reboot_at: 6.0,
+            }],
+            poison_rate: 0.05,
+            ..Default::default()
+        },
+        churn: Some(ChurnConfig::default()),
+        ..Default::default()
+    });
+    assert!(report.reached_target, "{report:?}");
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert_eq!((report.suspicions, report.rejoins, report.epoch), (1, 1, 2));
+    assert_eq!(report.messages_sent, [789, 790, 729, 791, 796, 801]);
+    let text = report.trace.render();
+    assert_eq!(text.len(), 128_034);
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        0x624b_64c8_b03e_f130,
+        "trace diverged from the recording"
+    );
+}
+
+#[test]
+#[should_panic(expected = "retransmit_every must be positive and finite, got inf")]
+fn infinite_retransmit_period_is_rejected_by_name() {
+    let _ = run(SimMbConfig {
+        retransmit_every: f64::INFINITY,
+        ..Default::default()
+    });
+}
+
+/// The loss-0 message count of ring 16, split exactly into its two
+/// sources: retransmission ticks (one gossip per process per period,
+/// whether or not anything changed) and movement gossips (the start
+/// announcements plus one per state change, each a line of the trace).
+/// This is the baseline a change to the retransmission policy is measured
+/// against; the model needs about 3N token hops per phase.
+#[test]
+fn ring16_loss0_messages_split_into_ticks_and_movement() {
+    let n = 16;
+    let target = 40;
+    let cfg = SimMbConfig {
+        n,
+        target_phases: target,
+        seed: 0x16,
+        link: lossy(0.0),
+        ..Default::default()
+    };
+    let report = run(cfg.clone());
+    assert!(report.reached_target, "{report:?}");
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert_eq!(report.net.lost, 0);
+
+    let total: u64 = report.messages_sent.iter().sum();
+    let periods = (report.virtual_elapsed.as_f64() / cfg.retransmit_every).floor() as u64;
+    let ticks = n as u64 * periods;
+    let moves = report
+        .trace
+        .render()
+        .lines()
+        .filter(|l| l.starts_with("  p"))
+        .count() as u64;
+    let movement = n as u64 + moves;
+    // Per phase: 420.8 ticks and 48.0 movement gossips (= 3N).
+    assert_eq!((ticks, movement), (16_832, 1_921));
+    assert_eq!(total, ticks + movement, "every message is a tick or a move");
+    assert!(
+        movement <= 4 * n as u64 * target,
+        "{movement} movement gossips over {target} phases"
     );
 }
 
