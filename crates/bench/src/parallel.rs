@@ -38,9 +38,9 @@ where
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
@@ -54,8 +54,7 @@ where
                 *results[i].lock().unwrap() = Some(r);
             });
         }
-    })
-    .expect("experiment worker panicked");
+    });
 
     results
         .into_iter()

@@ -1,4 +1,4 @@
-//! The acceptance criterion for the simulated-network backend: the `repro
+//! What the simulated-network backend must guarantee: the `repro
 //! mb` experiment is a pure function of its seed. Two runs at the same seed
 //! are byte-identical — full event trace, stats, and rendered CSV rows — and
 //! a different seed produces a different run.

@@ -7,9 +7,9 @@
 //! is simply absent). Program MB's gossip-with-retransmission makes all of
 //! them equivalent to transient loss.
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use ftbarrier_gcs::SimRng;
-use parking_lot::Mutex;
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Per-message fault probabilities of a link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,13 +92,19 @@ pub struct FaultyReceiver<T> {
     rx: Receiver<Delivery<T>>,
 }
 
+/// Lock `m`, taking the guard even if a thread panicked while holding it:
+/// a panic elsewhere must not turn a send into a second panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Create a faulty link.
 pub fn faulty_channel<T: Clone>(
     faults: ChannelFaults,
     seed: u64,
 ) -> (FaultySender<T>, FaultyReceiver<T>) {
     faults.validate();
-    let (tx, rx) = unbounded();
+    let (tx, rx) = mpsc::channel();
     (
         FaultySender {
             tx,
@@ -114,7 +120,7 @@ impl<T: Clone> FaultySender<T> {
     /// Send a message through the fault model. Returns `false` if the
     /// receiver is gone.
     pub fn send(&self, msg: T) -> bool {
-        let mut rng = self.rng.lock();
+        let mut rng = lock(&self.rng);
         if rng.chance(self.faults.loss) {
             return true; // silently dropped
         }
@@ -131,7 +137,7 @@ impl<T: Clone> FaultySender<T> {
         // after the next send (a swap of adjacent messages).
         let mut to_send: Vec<Delivery<T>> = Vec::with_capacity(3);
         {
-            let mut held = self.held.lock();
+            let mut held = lock(&self.held);
             if hold && held.is_none() {
                 *held = Some(delivery.clone());
             } else {
@@ -154,7 +160,7 @@ impl<T: Clone> FaultySender<T> {
 
     /// Flush a held (reordered) message — call when a link goes quiet.
     pub fn flush(&self) -> bool {
-        if let Some(prev) = self.held.lock().take() {
+        if let Some(prev) = lock(&self.held).take() {
             return self.tx.send(prev).is_ok();
         }
         true

@@ -18,13 +18,13 @@
 //!
 //! | | [`proc::MbCore`] | [`sweep_core::SweepCore`] |
 //! |---|---|---|
-//! | threads + faulty channels ([`threaded`], [`channel`], [`clock`]) | [`mb`] | [`sweep_mp`] |
+//! | threads + faulty channels ([`threaded`], [`channel`], [`Clock`]) | [`mb`] | [`sweep_mp`] |
 //! | simulated network ([`simnet`]) | [`mb_sim`] | [`sweep_sim`] |
 //! | TCP sockets ([`socket`]) | [`mb::spawn_on`] over a [`socket_ring`] | — (no socket mesh yet) |
 //!
 //! * threaded — real `std::thread` processes connected by links that lose,
 //!   duplicate, reorder, and detectably corrupt messages, with
-//!   retransmission/deadline timing routed through a [`clock::Clock`] so
+//!   retransmission/deadline timing routed through a [`Clock`] so
 //!   tests can drive a run on virtual time; [`mb`] and [`sweep_mp`] are
 //!   configuration/report/handle façades over the one driver;
 //! * simulated — the same cores on a seeded discrete-event network: virtual
@@ -43,7 +43,6 @@
 //! barrier specification oracle with [`telemetry::replay`].
 
 pub mod channel;
-pub mod clock;
 pub mod mb;
 pub mod mb_sim;
 pub mod proc;
@@ -57,7 +56,7 @@ pub mod threaded;
 pub mod transport;
 
 pub use channel::{ChannelFaults, Delivery, FaultyReceiver, FaultySender};
-pub use clock::{Clock, TestClock, WallClock};
+pub use ftbarrier_telemetry::{Clock, TestClock, WallClock};
 pub use mb::{MbConfig, MbProcessHandle, MbReport, MbRun};
 pub use mb_sim::{
     ChurnConfig, CrashPlan, FaultPlan, PartitionPlan, SimMbConfig, SimMbReport, TraceLog, WireMsg,

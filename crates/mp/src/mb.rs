@@ -10,7 +10,7 @@
 //!
 //! All timing — the retransmission period and the run deadline — flows
 //! through a [`Clock`], so tests can drive a threaded run on virtual time
-//! (a [`TestClock`](crate::clock::TestClock) advanced by the test) and the
+//! (a [`TestClock`](crate::TestClock) advanced by the test) and the
 //! default test lane needs no wall-clock sleeps. The deterministic
 //! single-threaded twin of this driver lives in [`crate::mb_sim`].
 //!
@@ -19,12 +19,11 @@
 //! per §5); undetectable ones via [`MbProcessHandle::scramble`].
 
 use crate::channel::ChannelFaults;
-use crate::clock::{Clock, WallClock};
 use crate::proc::{sn_domain, MbCore};
 use crate::threaded::{self, flags, Fault, Flags, Run, Spec, Work};
 use crate::transport::{channel_ring, Endpoint};
 use ftbarrier_gcs::{SimRng, Time};
-use ftbarrier_telemetry::{CausalRecorder, Telemetry};
+use ftbarrier_telemetry::{CausalRecorder, Clock, Telemetry, WallClock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -110,14 +109,14 @@ impl MbProcessHandle {
 /// A running MB system.
 pub type MbRun = Run<MbCore, MbProcessHandle>;
 
-/// Spawn an MB system on faulty crossbeam channels and the wall clock. Use
-/// [`Run::handle`] to inject faults, then [`MbRun::join`] to collect the
-/// report.
+/// Spawn an MB system on faulty `std::sync::mpsc` channels and the wall
+/// clock. Use [`Run::handle`] to inject faults, then [`MbRun::join`] to
+/// collect the report.
 pub fn spawn(config: MbConfig) -> MbRun {
     let faults = config.faults;
     let mut rng = SimRng::seed_from_u64(config.seed);
     let endpoints = channel_ring(config.n.max(1), faults, &mut rng);
-    spawn_on(config, endpoints, Arc::new(WallClock::start()))
+    spawn_on(config, endpoints, WallClock::start())
 }
 
 /// Spawn an MB system on caller-provided transport endpoints (one per
@@ -195,7 +194,7 @@ impl MbRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::TestClock;
+    use ftbarrier_telemetry::TestClock;
 
     /// Drive a spawned run to completion on virtual time: advance the test
     /// clock while the worker threads spin, injecting planned poisons when
@@ -205,7 +204,7 @@ mod tests {
         let mut next = 0;
         while !run.stopped() {
             clock.advance(0.01);
-            let now = clock.now().as_f64();
+            let now = clock.now();
             while next < plan.len() && plan[next].0 <= now {
                 h.poison(plan[next].1);
                 next += 1;

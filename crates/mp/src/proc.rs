@@ -8,7 +8,7 @@
 //! arbitrary sweep topology. A driver sees either through [`Process`]:
 //!
 //! * the threaded driver (`threaded.rs`): one core per `std::thread`, real
-//!   crossbeam channels or sockets, a [`Clock`](crate::clock::Clock) for
+//!   `std::sync::mpsc` channels or sockets, a [`Clock`](crate::Clock) for
 //!   retransmission and deadline timing;
 //! * the deterministic drivers (`mb_sim.rs`, `sweep_sim.rs`): all cores
 //!   stepped by a discrete-event loop over the simulated network, on virtual

@@ -13,14 +13,13 @@
 //! wiring of the gossip mesh.
 
 use crate::channel::ChannelFaults;
-use crate::clock::{Clock, WallClock};
 use crate::sweep_core::{subscriptions, PosMsg, SweepCore};
 use crate::threaded::{self, flags, Fault, Flags, Run, Spec, Work};
 use crate::transport::{channel_mesh, Endpoint};
 use ftbarrier_core::spec::Violation;
 use ftbarrier_core::sweep::SweepBarrier;
 use ftbarrier_gcs::{SimRng, Time};
-use ftbarrier_telemetry::{CausalRecorder, Telemetry};
+use ftbarrier_telemetry::{CausalRecorder, Clock, Telemetry, WallClock};
 use ftbarrier_topology::SweepDag;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -102,7 +101,7 @@ impl SweepMpHandle {
 pub type SweepMpRun = Run<SweepCore, SweepMpHandle>;
 
 /// Spawn one thread per process over the given topology, on faulty
-/// crossbeam channels and the wall clock.
+/// `std::sync::mpsc` channels and the wall clock.
 pub fn spawn(dag: SweepDag, config: SweepMpConfig) -> SweepMpRun {
     let mut rng = SimRng::seed_from_u64(config.seed);
     let endpoints = channel_mesh(
@@ -111,7 +110,7 @@ pub fn spawn(dag: SweepDag, config: SweepMpConfig) -> SweepMpRun {
         config.faults,
         &mut rng,
     );
-    spawn_on(dag, config, endpoints, Arc::new(WallClock::start()))
+    spawn_on(dag, config, endpoints, WallClock::start())
 }
 
 /// Spawn a sweep system on caller-provided ports (one per process, linked
@@ -184,7 +183,7 @@ impl SweepMpRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::TestClock;
+    use ftbarrier_telemetry::TestClock;
 
     /// Spawn on a [`TestClock`]; times in `config` are virtual.
     fn spawn_virtual(dag: SweepDag, config: SweepMpConfig) -> (SweepMpRun, Arc<TestClock>) {

@@ -10,13 +10,12 @@
 //! [`crate::sweep_mp`] runs [`SweepCore`](crate::sweep_core::SweepCore)s;
 //! neither has a loop of its own.
 
-use crate::clock::Clock;
 use crate::proc::{pump, CpEvent, Process};
 use crate::telemetry::replay;
 use crate::transport::Endpoint;
 use ftbarrier_core::spec::Violation;
 use ftbarrier_gcs::Time;
-use ftbarrier_telemetry::{CausalRecorder, Telemetry};
+use ftbarrier_telemetry::{CausalRecorder, Clock, Telemetry};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -121,7 +120,7 @@ where
             let clock = Arc::clone(&clock);
             std::thread::spawn(move || {
                 core.events().reserve(256);
-                let mut now = clock.now();
+                let mut now = Time::new(clock.now());
                 let mut last_gossip = now;
                 let mut sent = core.gossip(&mut ep);
                 let mut fault_stopped = false;
@@ -129,7 +128,7 @@ where
                     if mute[pid].load(Ordering::Acquire) {
                         // Fail-stop: fall permanently silent. The one-time
                         // marker is the last event this pid ever records.
-                        now = clock.now();
+                        now = Time::new(clock.now());
                         if !fault_stopped {
                             fault_stopped = true;
                             core.record_fail_stop(now);
@@ -150,7 +149,7 @@ where
                     // nothing below is stamped earlier than a delivery
                     // already absorbed.
                     let mut tick = || {
-                        now = clock.now();
+                        now = Time::new(clock.now());
                         now
                     };
                     let mut out = pump(&mut core, &mut ep, &mut tick);

@@ -9,9 +9,9 @@
 //! written against this trait only, so each core runs unchanged on every
 //! medium:
 //!
-//! * [`ChannelEndpoint`] — real crossbeam channels with send-time fault
-//!   injection ([`faulty_channel`]), one OS thread per process, wired by
-//!   [`channel_mesh`] ([`channel_ring`] is its ring case);
+//! * [`ChannelEndpoint`] — real `std::sync::mpsc` channels with send-time
+//!   fault injection ([`faulty_channel`]), one OS thread per process, wired
+//!   by [`channel_mesh`] ([`channel_ring`] is its ring case);
 //! * `mb_sim::SimEndpoint` and `sweep_sim`'s port — handles into the
 //!   discrete-event simulated network, single-threaded and byte-for-byte
 //!   replayable from a seed;

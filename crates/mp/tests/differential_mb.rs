@@ -8,11 +8,11 @@
 
 use ftbarrier_gcs::{SimRng, Time};
 use ftbarrier_mp::channel::ChannelFaults;
-use ftbarrier_mp::clock::{Clock, TestClock};
 use ftbarrier_mp::mb::{spawn_on, MbConfig, MbReport, MbRun};
 use ftbarrier_mp::mb_sim::{self, FaultPlan, SimMbConfig, SimMbReport};
 use ftbarrier_mp::simnet::{LatencyModel, LinkConfig};
 use ftbarrier_mp::transport::channel_ring;
+use ftbarrier_mp::{Clock, TestClock};
 use std::sync::Arc;
 
 /// One scenario, expressed once and lowered onto both backends.
@@ -54,7 +54,7 @@ fn drive_virtual(run: &MbRun, clock: &TestClock, plan: &[(f64, usize)]) {
     let mut next = 0;
     while !run.stopped() {
         clock.advance(0.01);
-        let now = clock.now().as_f64();
+        let now = clock.now();
         while next < plan.len() && plan[next].0 <= now {
             h.poison(plan[next].1);
             next += 1;

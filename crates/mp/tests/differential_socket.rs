@@ -10,10 +10,10 @@
 
 use ftbarrier_gcs::{SimRng, Time};
 use ftbarrier_mp::channel::ChannelFaults;
-use ftbarrier_mp::clock::{Clock, TestClock};
 use ftbarrier_mp::mb::{spawn_on, MbConfig, MbReport, MbRun};
 use ftbarrier_mp::socket::{socket_ring, SocketEndpoint};
 use ftbarrier_mp::transport::channel_ring;
+use ftbarrier_mp::{Clock, TestClock};
 use ftbarrier_telemetry::FlightDump;
 use std::sync::Arc;
 
@@ -47,7 +47,7 @@ fn drive_virtual(run: &MbRun, clock: &TestClock, plan: &[(f64, usize)]) {
     let mut next = 0;
     while !run.stopped() {
         clock.advance(0.01);
-        let now = clock.now().as_f64();
+        let now = clock.now();
         while next < plan.len() && plan[next].0 <= now {
             h.poison(plan[next].1);
             next += 1;

@@ -11,11 +11,11 @@
 
 use ftbarrier_gcs::SimRng;
 use ftbarrier_mp::channel::ChannelFaults;
-use ftbarrier_mp::clock::{Clock, TestClock};
 use ftbarrier_mp::simnet::{LatencyModel, LinkConfig};
 use ftbarrier_mp::sweep_mp::{self, SweepMpConfig, SweepMpReport};
 use ftbarrier_mp::sweep_sim::{self, SweepSimConfig, SweepSimReport};
 use ftbarrier_mp::{channel_mesh, subscriptions};
+use ftbarrier_mp::{Clock, TestClock};
 use ftbarrier_topology::SweepDag;
 use std::sync::Arc;
 use std::time::Duration;

@@ -31,10 +31,9 @@ use crate::flight::{Dep, Flight, Step};
 use crate::policy::FailurePolicy;
 use crate::wait::WaitPolicy;
 use crate::word::CheckedWord;
-use crossbeam::utils::CachePadded;
-use parking_lot::Mutex;
+use crate::{lock, CachePadded};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Slot payloads.
@@ -250,10 +249,10 @@ impl FtBarrierBuilder {
             policy: self.policy,
             wait: WaitPolicy::observe(n),
             slots: (0..n)
-                .map(|_| CachePadded::new(CheckedWord::new(0, EMPTY)))
+                .map(|_| CachePadded(CheckedWord::new(0, EMPTY)))
                 .collect(),
-            release: CachePadded::new(CheckedWord::new(0, ADVANCE)),
-            phase_word: CachePadded::new(CheckedWord::new(0, 0)),
+            release: CachePadded(CheckedWord::new(0, ADVANCE)),
+            phase_word: CachePadded(CheckedWord::new(0, 0)),
             broken: AtomicBool::new(false),
             // A parent depends on each child's arrival; everyone else's
             // events depend on at most the root's release.
@@ -315,7 +314,7 @@ impl FtBarrier {
     /// ([`Participant::arrive_timeout`]), if any. Taking it clears the
     /// slot; the next detection writes a fresh dump.
     pub fn take_flight_dump(&self) -> Option<String> {
-        self.shared.flight.lock().take()
+        lock(&self.shared.flight).take()
     }
 
     /// Dump the flight recorder's current contents on demand (for a
@@ -451,7 +450,7 @@ impl Participant {
                     shared
                         .recorder
                         .record(self.id, Step::Timeout, e, self.phase, &self.deps);
-                    *shared.flight.lock() = Some(shared.flight_json("wedge", "arrive-timeout"));
+                    *lock(&shared.flight) = Some(shared.flight_json("wedge", "arrive-timeout"));
                     break;
                 }
             }

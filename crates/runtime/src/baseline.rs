@@ -5,7 +5,7 @@
 
 use crate::barrier::children;
 use crate::wait::WaitPolicy;
-use crossbeam::utils::CachePadded;
+use crate::CachePadded;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -33,8 +33,8 @@ impl CentralBarrier {
         let shared = Arc::new(CentralShared {
             n,
             wait: WaitPolicy::observe(n),
-            count: CachePadded::new(AtomicUsize::new(0)),
-            sense: CachePadded::new(AtomicBool::new(false)),
+            count: CachePadded(AtomicUsize::new(0)),
+            sense: CachePadded(AtomicBool::new(false)),
         });
         (0..n)
             .map(|_| CentralBarrier {
@@ -97,10 +97,8 @@ impl TreeBarrier {
             n,
             arity,
             wait: WaitPolicy::observe(n),
-            slots: (0..n)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-            release: CachePadded::new(AtomicU64::new(0)),
+            slots: (0..n).map(|_| CachePadded(AtomicU64::new(0))).collect(),
+            release: CachePadded(AtomicU64::new(0)),
         });
         (0..n)
             .map(|id| TreeBarrier {

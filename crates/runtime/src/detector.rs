@@ -23,73 +23,12 @@
 //! spliced — [`Membership`] refuses it, mirroring §4.1 where the root *is*
 //! the recovery authority.
 
+use crate::lock;
 use ftbarrier_telemetry::{names, Telemetry};
 use ftbarrier_topology::{Membership, MembershipView, SweepDag};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
-/// A monotone source of seconds, shared by every participant.
-pub trait Clock: Send + Sync + 'static {
-    /// Seconds elapsed since the run started.
-    fn now(&self) -> f64;
-}
-
-/// Real time: seconds since construction.
-pub struct WallClock {
-    start: Instant,
-}
-
-impl WallClock {
-    pub fn start() -> Arc<WallClock> {
-        Arc::new(WallClock {
-            start: Instant::now(),
-        })
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-}
-
-/// Manually advanced virtual time (stored as `f64` bits in an atomic), for
-/// deterministic detector tests.
-pub struct TestClock {
-    bits: AtomicU64,
-}
-
-impl TestClock {
-    pub fn new() -> Arc<TestClock> {
-        Arc::new(TestClock {
-            bits: AtomicU64::new(0f64.to_bits()),
-        })
-    }
-
-    /// Advance virtual time by `by` (must be non-negative).
-    pub fn advance(&self, by: f64) {
-        assert!(by >= 0.0 && by.is_finite(), "advance({by})");
-        let mut cur = self.bits.load(Ordering::Acquire);
-        loop {
-            let next = (f64::from_bits(cur) + by).to_bits();
-            match self
-                .bits
-                .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
-
-impl Clock for TestClock {
-    fn now(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Acquire))
-    }
-}
+pub use ftbarrier_telemetry::{Clock, TestClock, WallClock};
 
 /// Tuning of the heartbeat detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,7 +133,7 @@ impl FailureDetector {
     /// [`FailureDetector::heartbeat`] for a caller that already read the
     /// detector's clock: `now` must come from that clock.
     pub fn heartbeat_at(&self, pid: usize, now: f64) -> bool {
-        let mut procs = self.procs.lock();
+        let mut procs = lock(&self.procs);
         let p = &mut procs[pid];
         let was_suspected = p.suspected;
         p.last_heartbeat = now;
@@ -208,7 +147,7 @@ impl FailureDetector {
 
     /// Is `pid` currently suspected?
     pub fn is_suspected(&self, pid: usize) -> bool {
-        self.procs.lock()[pid].suspected
+        lock(&self.procs)[pid].suspected
     }
 
     /// Check every deadline against the clock and return the verdict
@@ -221,7 +160,7 @@ impl FailureDetector {
     pub fn poll(&self) -> Vec<DetectorEvent> {
         let now = self.clock.now();
         let mut events = Vec::new();
-        let mut procs = self.procs.lock();
+        let mut procs = lock(&self.procs);
         for (pid, p) in procs.iter_mut().enumerate() {
             if p.suspected {
                 continue;
@@ -246,7 +185,7 @@ impl FailureDetector {
 
     /// Repair latency bookkeeping: when the current run of misses started.
     fn first_strike_at(&self, pid: usize) -> Option<f64> {
-        self.procs.lock()[pid].first_strike_at
+        lock(&self.procs)[pid].first_strike_at
     }
 
     /// Record an out-of-band death verdict (e.g. the OS reported the peer's
@@ -254,7 +193,7 @@ impl FailureDetector {
     /// any heartbeat deadline. Idempotent; a later heartbeat clears it and
     /// reports the rejoin exactly as after a timeout-based suspicion.
     pub fn mark_suspected(&self, pid: usize) {
-        let mut procs = self.procs.lock();
+        let mut procs = lock(&self.procs);
         let p = &mut procs[pid];
         p.strikes = self.cfg.suspicion_threshold;
         p.suspected = true;
@@ -324,7 +263,7 @@ impl GroupMembership {
             match ev {
                 DetectorEvent::Suspected(pid) => {
                     let epoch = {
-                        let mut m = self.membership.lock();
+                        let mut m = lock(&self.membership);
                         match m.splice(pid) {
                             Ok(view) => view.epoch,
                             Err(_) => continue, // root, or too few survivors
@@ -358,7 +297,7 @@ impl GroupMembership {
     /// authority is immortal) or an already-spliced process.
     pub fn force_splice(&self, pid: usize) -> Option<MembershipEvent> {
         let epoch = {
-            let mut m = self.membership.lock();
+            let mut m = lock(&self.membership);
             m.splice(pid).ok()?.epoch
         };
         self.detector.mark_suspected(pid);
@@ -370,7 +309,7 @@ impl GroupMembership {
 
     fn graft(&self, pid: usize) -> Option<MembershipEvent> {
         let epoch = {
-            let mut m = self.membership.lock();
+            let mut m = lock(&self.membership);
             m.graft(pid).ok()?.epoch
         };
         self.telemetry.counter(names::REJOINS_TOTAL, &[], 1);
@@ -380,20 +319,20 @@ impl GroupMembership {
     }
 
     pub fn epoch(&self) -> u64 {
-        self.membership.lock().epoch()
+        lock(&self.membership).epoch()
     }
 
     pub fn is_member(&self, pid: usize) -> bool {
-        self.membership.lock().is_alive(pid)
+        lock(&self.membership).is_alive(pid)
     }
 
     pub fn live_count(&self) -> usize {
-        self.membership.lock().live_count()
+        lock(&self.membership).live_count()
     }
 
     /// The contracted topology of the current epoch.
     pub fn view(&self) -> MembershipView {
-        self.membership.lock().view()
+        lock(&self.membership).view()
     }
 }
 

@@ -23,11 +23,11 @@
 //! Recording never allocates: the rings are sized at construction and
 //! labels are `&'static str`.
 
-use crossbeam::utils::CachePadded;
+use crate::{lock, CachePadded};
 use ftbarrier_telemetry::{CausalEvent, CausalGraph, EventId};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Another participant's latest event, as a predecessor.
 #[derive(Debug, Clone, Copy)]
@@ -104,7 +104,7 @@ impl Flight {
         let capacity = capacity.div_ceil(n);
         let lanes = (0..n)
             .map(|i| {
-                CachePadded::new(Lane {
+                CachePadded(Lane {
                     last: AtomicU64::new(0),
                     ring: Mutex::new(Ring {
                         capacity,
@@ -124,7 +124,7 @@ impl Flight {
     /// previous event plus `deps`.
     pub(crate) fn record(&self, pid: usize, step: Step, epoch: u64, phase: u64, deps: &[Dep]) {
         let lane = &self.lanes[pid];
-        let mut ring = lane.ring.lock();
+        let mut ring = lock(&lane.ring);
         let ring = &mut *ring;
         let at = deps
             .iter()
@@ -189,7 +189,7 @@ impl Flight {
             .iter()
             .enumerate()
             .map(|(pid, lane)| {
-                let ring = lane.ring.lock();
+                let ring = lock(&lane.ring);
                 dropped += ring.dropped;
                 let pid = pid as u32;
                 let mut deps = ring.deps.iter().copied();
@@ -330,11 +330,27 @@ mod tests {
     #[test]
     fn seq_wraps_past_zero() {
         let f = Flight::new(1, 8, |_| 1);
-        f.lanes[0].ring.lock().seq = u32::MAX - 1;
+        lock(&f.lanes[0].ring).seq = u32::MAX - 1;
         f.record(0, Step::Arrive, 1, 0, &[]);
         f.record(0, Step::Release, 1, 0, &[]);
         assert_eq!(f.last(0, 1).map(|d| d.id), Some(id(0, 1)));
         let g = f.snapshot();
         assert_eq!(g.events[1].preds, vec![id(0, u32::MAX)]);
+    }
+
+    #[test]
+    fn a_ring_poisoned_by_a_dead_participant_still_records_and_dumps() {
+        let f = Flight::new(2, 8, |_| 1);
+        std::thread::scope(|s| {
+            let dead = s.spawn(|| {
+                let _ring = lock(&f.lanes[0].ring);
+                panic!("participant dies holding its ring");
+            });
+            assert!(dead.join().is_err());
+        });
+        assert!(f.lanes[0].ring.is_poisoned());
+        f.record(0, Step::Arrive, 1, 0, &[]);
+        f.record(1, Step::Arrive, 1, 0, &[]);
+        assert_eq!(f.snapshot().events.len(), 2);
     }
 }

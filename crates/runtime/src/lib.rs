@@ -45,3 +45,44 @@ pub use detector::{
 };
 pub use policy::FailurePolicy;
 pub use scope::{run_phases, run_phases_instrumented, run_phases_observed, PhaseCtx, RunSummary};
+
+use std::ops::Deref;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m` even if a thread panicked while holding it. A participant that
+/// dies mid-phase is a detectable fault (§4.1): the survivors take the
+/// guard and carry on instead of panicking on a poisoned lock.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A value aligned to 128 bytes (a pair of cache lines, the unit adjacent-
+/// line prefetchers pull), so adjacent padded values never share a line.
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::align_of;
+    use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn adjacent_padded_words_are_a_full_pad_apart() {
+        assert_eq!(align_of::<CachePadded<AtomicU64>>(), 128);
+        let pair = [
+            CachePadded(AtomicU64::new(0)),
+            CachePadded(AtomicU64::new(0)),
+        ];
+        let addr = |w: &CachePadded<AtomicU64>| &**w as *const AtomicU64 as usize;
+        assert!(addr(&pair[1]) - addr(&pair[0]) >= 128);
+    }
+}

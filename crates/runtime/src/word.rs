@@ -8,8 +8,9 @@
 //! forge a well-formed word is *undetectable* — the barrier's epoch
 //! discipline bounds its damage (see crate docs).
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 pub const EPOCH_BITS: u32 = 48;
 pub const EPOCH_MAX: u64 = (1 << EPOCH_BITS) - 1;
@@ -57,7 +58,7 @@ impl CheckedWord {
     /// Legitimate store: shadow first, then the atomic (release ordering).
     pub fn store(&self, epoch: u64, payload: u8) {
         let w = pack(epoch, payload);
-        *self.shadow.lock() = w;
+        *lock(&self.shadow) = w;
         self.atomic.store(w, Ordering::Release);
     }
 
@@ -71,7 +72,7 @@ impl CheckedWord {
             }
             // Detected corruption: restore the last legitimate word. CAS so
             // a racing legitimate store is never clobbered.
-            let shadow = *self.shadow.lock();
+            let shadow = *lock(&self.shadow);
             let _ = self
                 .atomic
                 .compare_exchange(raw, shadow, Ordering::AcqRel, Ordering::Acquire);

@@ -25,17 +25,16 @@
 use crate::group::{BarrierGroup, GroupConfig, KillOutcome};
 use crate::readiness::{Events, Poller, Waker};
 use crate::wire::{ClientFrame, ServerFrame};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use ftbarrier_mp::socket::FrameReader;
 use ftbarrier_runtime::detector::{Clock, WallClock};
 use ftbarrier_telemetry::export::PROMETHEUS_CONTENT_TYPE;
 use ftbarrier_telemetry::{to_prometheus, Telemetry, TimeDomain};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -99,6 +98,12 @@ impl LogRing {
     }
 }
 
+/// Lock `m` even if a thread panicked while holding it: one shard dying
+/// with the log held must not take the others down with it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Shared mutable server state (log, flight dumps, gauges).
 struct Shared {
     stop: AtomicBool,
@@ -130,7 +135,7 @@ impl Shared {
 
     fn log(&self, line: impl AsRef<str>) {
         let stamped = format!("[{:9.3}] {}", self.clock.now(), line.as_ref());
-        self.log.lock().push(stamped);
+        lock(&self.log).push(stamped);
     }
 
     /// Bring the registry up to date with the atomics (called at scrape
@@ -202,7 +207,7 @@ impl Server {
         let mut routes: Vec<(Sender<NewSession>, Arc<Waker>)> = Vec::new();
         let mut shards = Vec::new();
         for id in 0..cfg.shards {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = mpsc::channel();
             let shard = Shard::new(id, shared.clone(), cfg.group.clone(), rx)?;
             routes.push((tx, shard.waker.clone()));
             shards.push(shard);
@@ -270,13 +275,13 @@ impl Server {
 
     /// The most recent group flight dump, if any group wedged.
     pub fn last_flight_dump(&self) -> Option<String> {
-        self.shared.last_flight.lock().clone()
+        lock(&self.shared.last_flight).clone()
     }
 
     /// The timestamped server log: the newest lines, headed by a count of
     /// the older ones dropped, if any were.
     pub fn log_snapshot(&self) -> String {
-        self.shared.log.lock().snapshot()
+        lock(&self.shared.log).snapshot()
     }
 
     /// Stop every thread and wait for them.
@@ -809,7 +814,7 @@ fn pump_group(g: &mut ActiveGroup, shared: &Shared, poller: &Poller) -> bool {
             g.group.phases_released(),
             dump.len()
         ));
-        *shared.last_flight.lock() = Some(dump);
+        *lock(&shared.last_flight) = Some(dump);
     }
     for release in &tick.releases {
         let now = shared.clock.now();
@@ -983,7 +988,7 @@ mod tests {
                 stall_splice_timeout: 3600.0,
                 ..GroupConfig::default()
             };
-            let (_tx, rx) = unbounded();
+            let (_tx, rx) = mpsc::channel();
             Bench {
                 shard: Shard::new(0, Arc::new(Shared::new(1)), cfg, rx).expect("shard"),
                 listener: TcpListener::bind("127.0.0.1:0").expect("bind"),
@@ -1019,7 +1024,7 @@ mod tests {
         }
 
         fn log(&self) -> String {
-            self.shard.shared.log.lock().snapshot()
+            lock(&self.shard.shared.log).snapshot()
         }
     }
 

@@ -1,20 +1,19 @@
-//! Clocks for the threaded MB backend.
+//! The clock every wall-clock backend reads its timing through.
 //!
-//! The threaded driver reads retransmission and deadline timing through the
-//! [`Clock`] trait instead of `Instant::elapsed`, so tests can drive a run on
-//! *virtual* time: a [`TestClock`] advances only when the test says so, which
-//! removes every wall-clock race from the default test lane. Production use
-//! keeps [`WallClock`].
+//! The threaded message-passing drivers and the runtime's heartbeat
+//! detector never call `Instant::elapsed` themselves: they read a shared
+//! [`Clock`]. Production runs use [`WallClock`]; tests use a [`TestClock`]
+//! that advances only when the test says so, which removes every wall-clock
+//! race from the default test lane.
 
-use ftbarrier_gcs::Time;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A monotone source of [`Time`], shared by every process of a run.
+/// A monotone source of seconds, shared by every participant.
 pub trait Clock: Send + Sync + 'static {
-    /// Time elapsed since the run started.
-    fn now(&self) -> Time;
+    /// Seconds elapsed since the run started.
+    fn now(&self) -> f64;
 }
 
 /// Real time: seconds since construction.
@@ -23,24 +22,24 @@ pub struct WallClock {
 }
 
 impl WallClock {
-    pub fn start() -> WallClock {
-        WallClock {
+    pub fn start() -> Arc<WallClock> {
+        Arc::new(WallClock {
             start: Instant::now(),
-        }
+        })
     }
 }
 
 impl Clock for WallClock {
-    fn now(&self) -> Time {
-        Time::new(self.start.elapsed().as_secs_f64())
+    fn now(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
     }
 }
 
 /// Manually advanced virtual time (stored as `f64` bits in an atomic).
 ///
-/// A test thread calls [`TestClock::advance`] in a loop while the MB worker
-/// threads spin; retransmissions and deadlines then fire at exactly the
-/// virtual instants the test dictates, independent of machine load.
+/// A test thread calls [`TestClock::advance`] in a loop while the worker
+/// threads spin; timeouts then fire at exactly the virtual instants the
+/// test dictates, independent of machine load.
 pub struct TestClock {
     bits: AtomicU64,
 }
@@ -70,8 +69,8 @@ impl TestClock {
 }
 
 impl Clock for TestClock {
-    fn now(&self) -> Time {
-        Time::new(f64::from_bits(self.bits.load(Ordering::Acquire)))
+    fn now(&self) -> f64 {
+        f64::from_bits(self.bits.load(Ordering::Acquire))
     }
 }
 
@@ -82,10 +81,10 @@ mod tests {
     #[test]
     fn test_clock_starts_at_zero_and_advances() {
         let c = TestClock::new();
-        assert_eq!(c.now(), Time::ZERO);
+        assert_eq!(c.now(), 0.0);
         c.advance(0.5);
         c.advance(0.25);
-        assert_eq!(c.now(), Time::new(0.75));
+        assert_eq!(c.now(), 0.75);
     }
 
     #[test]

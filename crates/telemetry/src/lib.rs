@@ -4,6 +4,8 @@
 //! The build is fully offline, so instead of `tracing`/`prometheus` this
 //! crate provides the minimal pieces the experiments need:
 //!
+//! - [`clock`]: the [`Clock`] the wall-clock backends read, real
+//!   ([`WallClock`]) or advanced by a test ([`TestClock`]);
 //! - [`metrics`]: a registry of counters, gauges, and log-bucketed latency
 //!   histograms with order-consistent p50/p90/p99/max quantiles;
 //! - [`recorder`]: the cloneable [`Telemetry`] handle recording spans and
@@ -26,6 +28,7 @@
 //! byte-identical runs with telemetry on and off.
 
 pub mod causal;
+pub mod clock;
 pub mod export;
 pub mod json;
 pub mod metrics;
@@ -34,6 +37,7 @@ pub mod prom;
 pub mod recorder;
 
 pub use causal::{CausalEvent, CausalGraph, CausalRecorder, CriticalPath, EventId, FlightDump};
+pub use clock::{Clock, TestClock, WallClock};
 pub use export::{metrics_to_prometheus, to_chrome_trace, to_jsonl, to_prometheus};
 pub use metrics::{Histogram, MetricKey, MetricsRegistry};
 pub use recorder::{Telemetry, TelemetrySnapshot, TimeDomain, TimelineEvent, TrackId};
