@@ -164,10 +164,13 @@ fn main() {
         eprintln!("running program MB on the simulated network…");
         let rows = mb_exp::sweep(opts.quick);
         let mask = mb_exp::masking_rows(opts.quick);
+        let pareto = mb_exp::pareto(opts.quick);
         println!("{}", render::render_mb(&rows));
         println!("{}", render::render_mb_masking(&mask));
+        println!("{}", render::render_mb_pareto(&pareto));
         write_csv(&opts.csv, "mb.csv", &render::csv_mb(&rows));
         write_csv(&opts.csv, "mb.json", &mb_exp::to_json(&rows, &mask));
+        write_csv(&opts.csv, "mb_pareto.csv", &render::csv_mb_pareto(&pareto));
     }
     if wants("table1") {
         eprintln!("exercising Table 1 scenarios…");

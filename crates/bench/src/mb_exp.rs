@@ -8,7 +8,11 @@
 //!   process-fault rate `f`);
 //! * [`masking_rows`] — one scenario per fault class of §1, measuring the §5
 //!   claim that *communication* faults are masked without re-execution while
-//!   *process* faults cost re-executed instances.
+//!   *process* faults cost re-executed instances;
+//! * [`pareto`] — messages per phase against virtual phase time for the two
+//!   gossip simulators on 16 processes (MB on the ring, the sweep program on
+//!   the ring and the binary tree) over a loss axis: what the resend policy
+//!   costs in messages and buys in latency.
 //!
 //! Every run is a pure function of its config (one seed), so the whole
 //! module is byte-for-byte reproducible — asserted by
@@ -17,6 +21,8 @@
 use ftbarrier_mp::channel::ChannelFaults;
 use ftbarrier_mp::mb_sim::{self, CrashPlan, FaultPlan, PartitionPlan, SimMbConfig, SimMbReport};
 use ftbarrier_mp::simnet::{LatencyModel, LinkConfig};
+use ftbarrier_mp::sweep_sim::{self, SweepSimConfig};
+use ftbarrier_topology::SweepDag;
 
 /// Base seed of every experiment; [`sweep_with_seed`] lets the determinism
 /// test shift it.
@@ -266,6 +272,92 @@ pub fn masking_rows_with_seed(quick: bool, seed: u64) -> Vec<MaskRow> {
 /// The masking table at the default seed.
 pub fn masking_rows(quick: bool) -> Vec<MaskRow> {
     masking_rows_with_seed(quick, DEFAULT_SEED)
+}
+
+/// One point of the messages-against-latency table.
+#[derive(Debug, Clone)]
+pub struct ParetoRow {
+    /// Simulator and topology, e.g. `mb_sim ring16`.
+    pub backend: &'static str,
+    /// Message loss probability per link.
+    pub loss: f64,
+    pub phases: u64,
+    pub violations: usize,
+    /// Messages sent per successful phase, resends included.
+    pub msgs_per_phase: f64,
+    /// Mean virtual time per successful phase (link latency 0.01, MB's
+    /// phase body 1.0, the sweep's empty).
+    pub phase_time: f64,
+}
+
+/// Messages per phase against virtual phase time on 16 processes at the
+/// benchmark's link (latency 0.01) and the default resend period, over the
+/// loss axis {0, 5, 10, 20, 30}%.
+pub fn pareto(quick: bool) -> Vec<ParetoRow> {
+    const N: usize = 16;
+    let losses: &[f64] = if quick {
+        &[0.0, 0.2]
+    } else {
+        &[0.0, 0.05, 0.1, 0.2, 0.3]
+    };
+    let phases: u64 = if quick { 100 } else { 2_000 };
+    let max_time = phases as f64 * 20.0 + 1000.0;
+    let mut rows = Vec::new();
+    for &loss in losses {
+        let link = LinkConfig {
+            latency: LatencyModel::Fixed(0.01),
+            faults: ChannelFaults {
+                loss,
+                ..ChannelFaults::NONE
+            },
+        };
+        let row = |backend, phases, violations, sent: &[u64], elapsed: f64| ParetoRow {
+            backend,
+            loss,
+            phases,
+            violations,
+            msgs_per_phase: sent.iter().sum::<u64>() as f64 / phases.max(1) as f64,
+            phase_time: elapsed / phases.max(1) as f64,
+        };
+        let mb = mb_sim::run(SimMbConfig {
+            n: N,
+            target_phases: phases,
+            seed: DEFAULT_SEED,
+            link,
+            max_time,
+            ..Default::default()
+        });
+        rows.push(row(
+            "mb_sim ring16",
+            mb.phases_completed,
+            mb.violations.len(),
+            &mb.messages_sent,
+            mb.virtual_elapsed.as_f64(),
+        ));
+        for (backend, dag) in [
+            ("sweep_sim ring16", SweepDag::ring(N)),
+            ("sweep_sim tree16", SweepDag::tree(N, 2)),
+        ] {
+            let r = sweep_sim::run(
+                dag.expect("16-process topology"),
+                SweepSimConfig {
+                    target_phases: phases,
+                    seed: DEFAULT_SEED,
+                    link,
+                    max_time,
+                    ..Default::default()
+                },
+            );
+            rows.push(row(
+                backend,
+                r.phases_completed,
+                r.violations.len(),
+                &r.messages_sent,
+                r.virtual_elapsed.as_f64(),
+            ));
+        }
+    }
+    rows
 }
 
 /// A fixed lossy-and-poisoned run whose full trace the determinism test

@@ -2,7 +2,7 @@
 
 use crate::ablations::{ArityRow, FuzzyRow, TopologyRow};
 use crate::figures::{Fig3Row, Fig4Row, Fig5Row, Fig6Row, Fig7Row};
-use crate::mb_exp::{MaskRow, MbRow};
+use crate::mb_exp::{MaskRow, MbRow, ParetoRow};
 use crate::table1::Table1Row;
 use std::fmt::Write as _;
 
@@ -221,6 +221,35 @@ pub fn csv_mb(rows: &[MbRow]) -> String {
             r.sent,
             r.lost,
             r.phase_time
+        );
+    }
+    s
+}
+
+pub fn render_mb_pareto(rows: &[ParetoRow]) -> String {
+    let mut s = header("Gossip simulators, 16 processes — messages per phase against phase time");
+    let _ = writeln!(
+        s,
+        "{:<17} {:>6} {:>7} {:>5} {:>10} {:>11}",
+        "backend", "loss", "phases", "viol", "msgs/phase", "phase_time"
+    );
+    for r in rows {
+        let _ = writeln!(
+            s,
+            "{:<17} {:>6.2} {:>7} {:>5} {:>10.1} {:>11.3}",
+            r.backend, r.loss, r.phases, r.violations, r.msgs_per_phase, r.phase_time
+        );
+    }
+    s
+}
+
+pub fn csv_mb_pareto(rows: &[ParetoRow]) -> String {
+    let mut s = String::from("backend,loss,phases,violations,msgs_per_phase,phase_time\n");
+    for r in rows {
+        let _ = writeln!(
+            s,
+            "{},{},{},{},{},{}",
+            r.backend, r.loss, r.phases, r.violations, r.msgs_per_phase, r.phase_time
         );
     }
     s

@@ -268,7 +268,7 @@ pub fn run_dense(
 /// Protocol-generic engine differential: the classic engine and the sharded
 /// dense engine at workers {1, 2, 4} must produce byte-identical traces,
 /// final states, and stats from the same perturbed start — for **any**
-/// [`DenseProtocol`], not just the sweep. Sibling protocols
+/// [`DenseProtocol`](ftbarrier_gcs::DenseProtocol), not just the sweep. Sibling protocols
 /// (`ftbarrier-protocols`) get the classic ≡ dense half of the conformance
 /// battery by calling this.
 pub fn check_protocol_classic_dense_differential<P>(

@@ -12,7 +12,7 @@
 //! T5 :: sn.0 = ⊤                                                          → sn.0 := 0
 //! ```
 //!
-//! Properties (proved in [10], tested here): fault-free, exactly one token
+//! Properties (proved in \[10\], tested here): fault-free, exactly one token
 //! circulates; under detectable faults at most one token exists and
 //! eventually exactly one, each process can detect its own corruption
 //! (⊥/⊤), and process 0 never executes T4/T5; under undetectable faults the

@@ -24,7 +24,7 @@
 //!
 //! * threaded — real `std::thread` processes connected by links that lose,
 //!   duplicate, reorder, and detectably corrupt messages, with
-//!   retransmission/deadline timing routed through a [`Clock`] so
+//!   resend/deadline timing routed through a [`Clock`] so
 //!   tests can drive a run on virtual time; [`mb`] and [`sweep_mp`] are
 //!   configuration/report/handle façades over the one driver;
 //! * simulated — the same cores on a seeded discrete-event network: virtual
@@ -37,6 +37,10 @@
 //!   reads, checksummed payloads, in-frame causal tags, and
 //!   reconnect-with-backoff so a peer crash degrades to the detectable loss
 //!   the protocol already masks.
+//!
+//! Every driver publishes a process's state on the one resend policy,
+//! [`proc::Resend`]: at once on every change, then resends of unchanged
+//! state at a doubling interval up to a fixed cap, reset by the next change.
 //!
 //! Every backend logs control-position changes as [`proc::CpEvent`]s on one
 //! run-global sequence counter and replays the merged log through the
@@ -61,7 +65,7 @@ pub use mb::{MbConfig, MbProcessHandle, MbReport, MbRun};
 pub use mb_sim::{
     ChurnConfig, CrashPlan, FaultPlan, PartitionPlan, SimMbConfig, SimMbReport, TraceLog, WireMsg,
 };
-pub use proc::{sn_domain, try_sn_domain, MbCore, Process, StateMsg};
+pub use proc::{sn_domain, try_sn_domain, MbCore, Process, Resend, StateMsg};
 pub use simnet::{LatencyModel, LinkConfig, NetStats, SimNet};
 pub use socket::{connect_endpoint, socket_ring, FrameReader, SocketEndpoint};
 pub use sweep_core::{subscriptions, PosMsg, SweepCore};

@@ -6,9 +6,10 @@
 //! messages whose sequence number is ordinary. This module is the façade —
 //! configuration, report, fault handle; the thread loop is the shared
 //! [`crate::threaded`] driver, which gossips each process's state to its
-//! successor on every change and on a retransmission tick.
+//! successor on every change and resends it on the
+//! [`Resend`](crate::proc::Resend) backoff schedule while it stays unchanged.
 //!
-//! All timing — the retransmission period and the run deadline — flows
+//! All timing — the resend schedule and the run deadline — flows
 //! through a [`Clock`], so tests can drive a threaded run on virtual time
 //! (a [`TestClock`](crate::TestClock) advanced by the test) and the
 //! default test lane needs no wall-clock sleeps. The deterministic
@@ -40,7 +41,8 @@ pub struct MbConfig {
     /// Fault model of every link.
     pub faults: ChannelFaults,
     pub seed: u64,
-    /// Gossip retransmission period (masks message loss).
+    /// Base period of the [`Resend`](crate::proc::Resend) policy (resends
+    /// of unchanged state mask message loss).
     pub retransmit_every: Time,
     /// Per-phase workload; `None` means an empty phase body.
     pub work: Work,

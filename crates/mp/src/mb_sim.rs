@@ -20,20 +20,25 @@
 //! # Dynamic membership
 //!
 //! With [`SimMbConfig::churn`] enabled the run carries a
-//! [`Membership`](ftbarrier_topology::Membership) over the base ring and the
+//! [`Membership`] over the base ring and the
 //! root (the driver, acting as the paper's distinguished detector) runs a
 //! periodic membership check:
 //!
-//! * **Detection** — a live member whose link has been silent longer than
-//!   [`ChurnConfig::suspect_after`] is suspected fail-stop and *spliced*
-//!   out: its ring neighbors are re-linked and the epoch is bumped. Because
-//!   every process gossips its full state continuously, the splice itself
+//! * **Detection** — every message announces its sender's [`Resend`]
+//!   backoff step ([`WireMsg::step`]), so the root knows when each live
+//!   member's next resends are due. A member from which the next
+//!   [`ChurnConfig::suspect_after`]` / retransmit_every` resends along that
+//!   announced schedule have all failed to arrive is suspected fail-stop
+//!   and *spliced* out: its ring neighbors are re-linked and the epoch is
+//!   bumped. Because every process resends its full state until it
+//!   changes (and publishes every change at once), the splice itself
 //!   regenerates the sweep — the successor simply reads the predecessor of
 //!   the dead process from then on.
 //! * **Epochs on the wire** — every message is stamped with the sender's
 //!   believed epoch ([`WireMsg`]). A receiver drops older-epoch messages as
-//!   detectably stale (masked like loss) and adopts newer epochs, so the
-//!   root's epoch bump sweeps the ring like any other gossip.
+//!   detectably stale (masked like loss) and adopts newer epochs — a state
+//!   change it publishes at once — so the root's epoch bump sweeps the ring
+//!   like any other gossip.
 //! * **Rejoin** — traffic from a live spliced-out process (a healed
 //!   partition), or the reboot of a spliced-out crashed process, triggers a
 //!   *graft*: the ring edges its departure contracted are restored and the
@@ -50,7 +55,7 @@
 //! is — the check draws no randomness and writes no trace unless it acts.
 
 use crate::channel::Delivery;
-use crate::proc::{pump, sn_domain, try_sn_domain, CpEvent, MbCore, Process, StateMsg};
+use crate::proc::{pump, sn_domain, try_sn_domain, CpEvent, MbCore, Process, Resend, StateMsg};
 use crate::simnet::{LinkConfig, NetStats, SimNet};
 use crate::telemetry::replay_segments;
 use crate::transport::Endpoint;
@@ -124,9 +129,13 @@ pub struct FaultPlan {
 /// Failure-detector parameters of the root's periodic membership check.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
-    /// Silence on a live member's link longer than this suspects fail-stop.
-    /// Must comfortably exceed the retransmission period plus the worst
-    /// link latency, or a slow link reads as a dead process.
+    /// Missed resends that suspect fail-stop, counted in base periods: a
+    /// live member is suspected once `suspect_after / retransmit_every`
+    /// (rounded, at least one) consecutive resends along the backoff
+    /// schedule it last announced have all failed to arrive. The default
+    /// 0.5 is ten resends at the default period. Without backoff this is
+    /// plain silence longer than `suspect_after`; it must comfortably exceed
+    /// the worst link latency, or a slow link reads as a dead process.
     pub suspect_after: f64,
     /// Period of the membership check (detection + anti-entropy).
     pub check_every: f64,
@@ -153,7 +162,8 @@ pub struct SimMbConfig {
     pub seed: u64,
     /// Model of every link `j → j+1`.
     pub link: LinkConfig,
-    /// Gossip retransmission period (masks message loss), virtual time.
+    /// Base period of the [`Resend`] policy (resends of unchanged state
+    /// mask message loss), virtual time.
     pub retransmit_every: f64,
     /// Virtual duration of one phase body (the paper's unit of measure).
     pub phase_cost: f64,
@@ -205,11 +215,14 @@ impl Default for SimMbConfig {
 }
 
 /// What actually travels on a simulated link: the §5 state gossip stamped
-/// with the sender's believed membership epoch. With churn disabled every
-/// epoch is 0 and the stamp is inert.
+/// with the sender's believed membership epoch and its [`Resend`] step.
+/// With churn disabled every epoch is 0 and both stamps are inert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireMsg {
     pub epoch: u64,
+    /// The sender's backoff step: its next resend is due one
+    /// [`Resend::interval`] at this step after this send.
+    pub step: u8,
     pub msg: StateMsg,
 }
 
@@ -341,6 +354,8 @@ struct ChurnShared {
     /// Per-process link to pop deliveries from (the ring predecessor in the
     /// current view; with churn disabled, always `pid - 1 mod n`).
     pred_link: Vec<usize>,
+    /// Per sender: the backoff step its latest delivered message announced.
+    heard_step: Vec<u8>,
     stale_dropped: u64,
 }
 
@@ -353,6 +368,8 @@ pub struct SimEndpoint {
     churn: Rc<RefCell<ChurnShared>>,
     pid: usize,
     out_link: usize,
+    /// The backoff step stamped on the next send.
+    step: u8,
 }
 
 impl Endpoint for SimEndpoint {
@@ -363,9 +380,10 @@ impl Endpoint for SimEndpoint {
 
     fn send_tagged(&mut self, msg: StateMsg, tag: Option<EventId>) -> bool {
         let epoch = self.churn.borrow().epoch[self.pid];
+        let step = self.step;
         self.net
             .borrow_mut()
-            .send_tagged(self.out_link, WireMsg { epoch, msg }, tag);
+            .send_tagged(self.out_link, WireMsg { epoch, step, msg }, tag);
         true
     }
 
@@ -378,6 +396,7 @@ impl Endpoint for SimEndpoint {
                 (Delivery::Corrupted, _) => return Some((Delivery::Corrupted, None)),
                 (Delivery::Ok(w), tag) => {
                     let mut sh = self.churn.borrow_mut();
+                    sh.heard_step[in_link] = w.step;
                     if w.epoch < sh.epoch[self.pid] {
                         // A stale-epoch message is detectably from a
                         // pre-reconfiguration view: masked as loss.
@@ -395,10 +414,11 @@ impl Endpoint for SimEndpoint {
 }
 
 /// Control events of the event loop (message deliveries live in the
-/// [`SimNet`] queue; everything else lives here).
+/// [`SimNet`] queue; everything else lives here). `Resend { pid, gen }` is
+/// `pid`'s resend timer of generation `gen`; only the newest is live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ctl {
-    Retransmit { pid: usize },
+    Resend { pid: usize, gen: u64 },
     WorkDone { pid: usize, token: u64 },
     Poison { pid: usize },
     Scramble { pid: usize },
@@ -426,6 +446,10 @@ struct Driver {
     /// `work_token` value for which a `WorkDone` is already scheduled.
     work_scheduled: Vec<Option<u64>>,
     messages_sent: Vec<u64>,
+    /// Per process: its resend schedule and the generation of its one live
+    /// resend timer (older ones are superseded).
+    resend: Vec<Resend>,
+    timer: Vec<u64>,
     advances: u64,
     fault_rng: SimRng,
     trace: TraceLog,
@@ -457,16 +481,49 @@ impl Driver {
         self.ctl.push(Reverse((Time::new(at), self.ctl_seq, ev)));
     }
 
+    /// Publish `pid`'s changed state and restart its resend schedule.
     fn gossip(&mut self, pid: usize) {
-        self.messages_sent[pid] += self.cores[pid].gossip(&mut self.eps[pid]);
+        let delay = self.resend[pid].changed();
+        self.publish(pid, delay);
     }
 
-    /// Pump `pid` to quiescence, gossiping on movement and handling the
-    /// phase-body gate (instant when `phase_cost == 0`, a scheduled timer
-    /// otherwise).
+    /// Send `pid`'s state, announcing its backoff step, then arm its one
+    /// resend timer `delay` from now (superseding any earlier one).
+    fn publish(&mut self, pid: usize, delay: Time) {
+        self.eps[pid].step = self.resend[pid].step();
+        self.messages_sent[pid] += self.cores[pid].gossip(&mut self.eps[pid]);
+        self.timer[pid] += 1;
+        let gen = self.timer[pid];
+        self.schedule((self.now + delay).as_f64(), Ctl::Resend { pid, gen });
+    }
+
+    /// A live resend timer fired. A crashed process's timer dies with it
+    /// (the reboot publishes afresh); a live one releases any reorder-held
+    /// message (the link went quiet) and resends its unchanged state one
+    /// backoff step later. The heartbeat keeps live processes visibly fresh
+    /// in the flight recorder, so a crashed one stands out as stalest in a
+    /// wedge dump.
+    fn resend(&mut self, pid: usize) {
+        if !self.alive[pid] {
+            return;
+        }
+        self.eps[pid].flush();
+        self.cores[pid].record_heartbeat(self.now);
+        let delay = self.resend[pid].resent();
+        self.publish(pid, delay);
+    }
+
+    fn epoch(&self, pid: usize) -> u64 {
+        self.churn.borrow().epoch[pid]
+    }
+
+    /// Pump `pid` to quiescence, publishing every change — a move, or the
+    /// adoption of a newer epoch — and handling the phase-body gate
+    /// (instant when `phase_cost == 0`, a scheduled timer otherwise).
     fn drive(&mut self, pid: usize) {
         let now = self.now;
         loop {
+            let epoch = self.epoch(pid);
             let out = pump(&mut self.cores[pid], &mut self.eps[pid], || now);
             self.advances += out.advances;
             if out.moved {
@@ -476,6 +533,8 @@ impl Driver {
                     own: self.cores[pid].own,
                     advances: out.advances,
                 });
+            } else if self.epoch(pid) != epoch {
+                self.gossip(pid);
             }
             if self.cores[pid].needs_work() {
                 let token = self.cores[pid].work_token;
@@ -505,9 +564,15 @@ impl Driver {
         self.drive(pid);
     }
 
+    /// Drop everything delivered on `link`, noting the backoff step its
+    /// sender announced.
     fn drain_link(&mut self, link: usize) {
         let mut net = self.net.borrow_mut();
-        while net.pop_inbox(link).is_some() {}
+        while let Some(d) = net.pop_inbox(link) {
+            if let Delivery::Ok(w) = d {
+                self.churn.borrow_mut().heard_step[link] = w.step;
+            }
+        }
     }
 
     /// Record the current membership as a new oracle segment, starting at
@@ -621,15 +686,26 @@ impl Driver {
         let mem = self.membership.as_mut().expect("churn enabled");
         mem.observe_epoch(max_e);
         let e = mem.epoch();
-        self.churn.borrow_mut().epoch[0] = e;
+        let root_moved = std::mem::replace(&mut self.churn.borrow_mut().epoch[0], e) != e;
         self.sync_routing();
+        if root_moved {
+            self.gossip(0);
+        }
         // Fail-stop detection: the root is immortal, everyone else must
-        // have been heard from recently.
+        // have been heard from within its next `resends` announced resends.
+        let resends = ((cc.suspect_after / self.cfg.retransmit_every).round() as u32).max(1);
+        let schedule = Resend::new(Time::new(self.cfg.retransmit_every));
         let now = self.now.as_f64();
         let mem = self.membership.as_ref().expect("churn enabled");
-        let suspects: Vec<usize> = (1..n)
-            .filter(|&p| mem.is_alive(p) && now - self.last_heard[p] > cc.suspect_after)
-            .collect();
+        let suspects: Vec<usize> = {
+            let sh = self.churn.borrow();
+            (1..n)
+                .filter(|&p| {
+                    let deadline = schedule.at_step(sh.heard_step[p]).deadline(resends);
+                    mem.is_alive(p) && now - self.last_heard[p] > deadline.as_f64()
+                })
+                .collect()
+        };
         for p in suspects {
             self.splice_out(p);
         }
@@ -666,20 +742,7 @@ impl Driver {
 
     fn on_ctl(&mut self, ev: Ctl) {
         match ev {
-            Ctl::Retransmit { pid } => {
-                if self.alive[pid] {
-                    // A retransmission tick is the link-gone-quiet moment:
-                    // release any reorder-held message, then re-gossip. The
-                    // heartbeat event keeps live processes visibly fresh in
-                    // the flight recorder (a crashed one stops and stands
-                    // out as stalest in a wedge dump).
-                    self.eps[pid].flush();
-                    self.cores[pid].record_heartbeat(self.now);
-                    self.gossip(pid);
-                }
-                let at = self.now.as_f64() + self.cfg.retransmit_every;
-                self.schedule(at, Ctl::Retransmit { pid });
-            }
+            Ctl::Resend { pid, .. } => self.resend(pid),
             Ctl::WorkDone { pid, token } => {
                 if self.alive[pid] {
                     self.trace.entries.push(TraceEntry::WorkDone {
@@ -844,6 +907,7 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
     let churn_shared = Rc::new(RefCell::new(ChurnShared {
         epoch: vec![0; n],
         pred_link: (0..n).map(|pid| (pid + n - 1) % n).collect(),
+        heard_step: vec![0; n],
         stale_dropped: 0,
     }));
     let eps: Vec<SimEndpoint> = (0..n)
@@ -852,6 +916,7 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
             churn: Rc::clone(&churn_shared),
             pid,
             out_link: pid,
+            step: 0,
         })
         .collect();
 
@@ -868,6 +933,8 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
         alive: vec![true; n],
         work_scheduled: vec![None; n],
         messages_sent: vec![0; n],
+        resend: vec![Resend::new(Time::new(cfg.retransmit_every)); n],
+        timer: vec![0; n],
         advances: 0,
         fault_rng: rng.fork(),
         trace: TraceLog::default(),
@@ -887,7 +954,7 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
         cfg,
     };
 
-    // Schedule the fault plan and the retransmission ticks.
+    // Schedule the fault plan (resend timers are armed by each send).
     let plan = d.cfg.plan.clone();
     for &(t, pid) in &plan.poisons {
         d.schedule(t, Ctl::Poison { pid });
@@ -921,9 +988,6 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
         let first = d.fault_rng.exponential(plan.poison_rate);
         d.schedule(first, Ctl::PoissonPoison);
     }
-    for pid in 0..n {
-        d.schedule(d.cfg.retransmit_every, Ctl::Retransmit { pid });
-    }
     // Scheduled last so the control-event sequence numbers of everything
     // above are unchanged from a churn-disabled run.
     if let Some(cc) = d.cfg.churn {
@@ -945,6 +1009,13 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
     let mut wedge_reason = "target-not-reached";
     let mut touched = Vec::new();
     while !reached {
+        // A superseded resend timer is no scheduling point: drop it unseen.
+        while let Some(&Reverse((_, _, Ctl::Resend { pid, gen }))) = d.ctl.peek() {
+            if gen == d.timer[pid] {
+                break;
+            }
+            d.ctl.pop();
+        }
         let t_net = d.net.borrow().next_event_time();
         let t_ctl = d.ctl.peek().map(|Reverse((t, _, _))| *t);
         // Deliveries win ties against control events.

@@ -5,8 +5,9 @@
 //!
 //! Each process thread runs one [`SweepCore`]: it owns its positions and
 //! maintains local copies of every remote position its guards read. State
-//! changes are gossiped to the subscribing processes over faulty links, with
-//! periodic retransmission — so message loss, duplication, reordering, and
+//! changes are gossiped to the subscribing processes over faulty links, and
+//! unchanged state is resent on the [`Resend`](crate::proc::Resend) backoff
+//! schedule — so message loss, duplication, reordering, and
 //! detectable corruption are all masked, exactly as in [`crate::mb`], whose
 //! thread loop ([`crate::threaded`]) and [`Clock`] this backend shares. What is
 //! left here is the façade — configuration, report, fault handle — and the

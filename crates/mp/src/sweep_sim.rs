@@ -5,10 +5,11 @@
 //!
 //! The processes are the same [`SweepCore`]s the threaded backend runs,
 //! pumped by the same [`pump`]; this module keeps only *scheduling*: the
-//! network-vs-control event loop, the retransmit / poison / mute / forge
-//! timers, and a [`SimNet`]-backed [`Endpoint`] per process (one link per
-//! subscription — which is where the per-round partner schedule of the
-//! log-depth topologies materializes; nothing here is topology-specific).
+//! network-vs-control event loop, one [`Resend`] timer per process, the
+//! poison / mute / forge timers, and a [`SimNet`]-backed [`Endpoint`] per
+//! process (one link per subscription — which is where the per-round
+//! partner schedule of the log-depth topologies materializes; nothing here
+//! is topology-specific).
 //!
 //! One seed determines everything — link latencies and fault draws, the
 //! perturbation values of scheduled poisons, the event interleaving — so a
@@ -16,7 +17,7 @@
 //! with the same config is identical.
 
 use crate::channel::Delivery;
-use crate::proc::{pump, Process};
+use crate::proc::{pump, Process, Resend};
 use crate::simnet::{LinkConfig, NetStats, SimNet};
 use crate::sweep_core::{subscriptions, PosMsg, SweepCore};
 use crate::telemetry::replay;
@@ -41,7 +42,8 @@ pub struct SweepSimConfig {
     pub seed: u64,
     /// Model of every gossip link.
     pub link: LinkConfig,
-    /// Gossip retransmission period (masks message loss), virtual time.
+    /// Base period of the [`Resend`] policy (resends of unchanged state
+    /// mask message loss), virtual time.
     pub retransmit_every: f64,
     /// Virtual-time safety limit.
     pub max_time: f64,
@@ -55,8 +57,8 @@ pub struct SweepSimConfig {
     /// *out-of-domain* position states (`sn` beyond the `L`-window, `ph`
     /// beyond `n_phases`) on every outgoing link, equivocating: each link
     /// gets an independent forgery draw. Its own view stays intact, modeling
-    /// an in-flight forger rather than a corrupted process; periodic
-    /// retransmission of the true state heals the receivers.
+    /// an in-flight forger rather than a corrupted process; the next resend
+    /// of the true state heals the receivers.
     pub forgeries: Vec<(f64, usize)>,
     /// Capacity of the always-armed flight recorder ring.
     pub flight_capacity: usize,
@@ -109,9 +111,11 @@ pub struct SweepSimReport {
     pub flight_dump: Option<String>,
 }
 
+/// Control events of the event loop. `Resend { pid, gen }` is `pid`'s
+/// resend timer of generation `gen`; only the newest is live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ctl {
-    Retransmit(usize),
+    Resend { pid: usize, gen: u64 },
     Poison(usize),
     Mute(usize),
     Forge(usize),
@@ -166,6 +170,10 @@ struct Driver {
     /// Backing store of every [`SimPort`]'s staged burst.
     staged: Vec<TaggedMsg<PosMsg>>,
     messages_sent: Vec<u64>,
+    /// Per process: its resend schedule and the generation of its one live
+    /// resend timer (older ones are superseded).
+    resend: Vec<Resend>,
+    timer: Vec<u64>,
     advances: u64,
     trace: String,
     muted: Vec<bool>,
@@ -178,10 +186,18 @@ impl Driver {
         self.ctl.push(Reverse((Time::new(at), self.ctl_seq, ev)));
     }
 
+    /// Publish `pid`'s changed state and restart its resend schedule.
     fn gossip(&mut self, pid: usize) {
         if self.muted[pid] {
             return;
         }
+        let delay = self.resend[pid].changed();
+        self.publish(pid, delay);
+    }
+
+    /// Put `pid`'s state on every outgoing link, then arm its one resend
+    /// timer `delay` from now (superseding any earlier one).
+    fn publish(&mut self, pid: usize, delay: Time) {
         let mut port = SimPort {
             net: &mut self.net,
             out_links: &self.out_links[pid],
@@ -189,6 +205,21 @@ impl Driver {
             staged: &mut self.staged,
         };
         self.messages_sent[pid] += self.cores[pid].gossip(&mut port);
+        self.timer[pid] += 1;
+        let gen = self.timer[pid];
+        self.schedule((self.now + delay).as_f64(), Ctl::Resend { pid, gen });
+    }
+
+    /// A live resend timer fired: resend the unchanged state one backoff
+    /// step later. The heartbeat keeps a live process visibly fresh in the
+    /// flight recorder, so a silent one stands out in a wedge dump.
+    fn resend(&mut self, pid: usize) {
+        if self.muted[pid] {
+            return;
+        }
+        self.cores[pid].record_heartbeat(self.now);
+        let delay = self.resend[pid].resent();
+        self.publish(pid, delay);
     }
 
     /// Absorb what arrived on `rx` and fire `pid`'s guarded commands until
@@ -223,7 +254,7 @@ impl Driver {
             moved = true;
         }
         if moved {
-            self.messages_sent[pid] += core.gossip(&mut port);
+            self.gossip(pid);
         }
     }
 
@@ -238,7 +269,7 @@ impl Driver {
     /// Byzantine message forgery: put `pid`'s lies on the wire, a different
     /// set per outgoing link, bypassing its honest port. The receivers
     /// convict them by inspection; anything that slips through is
-    /// overwritten by the next honest retransmission.
+    /// overwritten by the next honest resend.
     fn forge(&mut self, pid: usize) {
         if self.muted[pid] {
             return;
@@ -312,6 +343,8 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
         dest_of,
         staged: Vec::new(),
         messages_sent: vec![0; n],
+        resend: vec![Resend::new(Time::new(cfg.retransmit_every)); n],
+        timer: vec![0; n],
         advances: 0,
         trace: String::new(),
         muted: vec![false; n],
@@ -328,9 +361,6 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
             d.schedule(t, ctl(pid));
         }
     }
-    for pid in 0..n {
-        d.schedule(d.cfg.retransmit_every, Ctl::Retransmit(pid));
-    }
 
     // t = 0: everyone announces its start state, then takes any enabled
     // steps (the root's first token action fires immediately).
@@ -346,6 +376,13 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
     let mut wedge_reason: Option<&str> = None;
     let mut touched = Vec::new();
     while !reached {
+        // A superseded resend timer is no scheduling point: drop it unseen.
+        while let Some(&Reverse((_, _, Ctl::Resend { pid, gen }))) = d.ctl.peek() {
+            if gen == d.timer[pid] {
+                break;
+            }
+            d.ctl.pop();
+        }
         let t_net = d.net.next_event_time();
         let t_ctl = d.ctl.peek().map(|Reverse((t, _, _))| *t);
         // Deliveries win ties against control events.
@@ -375,16 +412,7 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
             d.drive(d.dest_of[link], Some(link));
         }
         match ctl_ev {
-            Some(Ctl::Retransmit(pid)) => {
-                if !d.muted[pid] {
-                    // Liveness heartbeat: a silent process stands out in
-                    // the flight dump even when the barrier is wedged.
-                    d.cores[pid].record_heartbeat(d.now);
-                    d.gossip(pid);
-                }
-                let at = d.now.as_f64() + d.cfg.retransmit_every;
-                d.schedule(at, Ctl::Retransmit(pid));
-            }
+            Some(Ctl::Resend { pid, .. }) => d.resend(pid),
             Some(Ctl::Poison(pid)) => d.poison(pid),
             Some(Ctl::Mute(pid)) => d.mute(pid),
             Some(Ctl::Forge(pid)) => d.forge(pid),
@@ -558,7 +586,7 @@ mod tests {
     fn forged_messages_are_healed_by_honest_retransmission() {
         // Equivocating in-flight forgeries (out-of-domain sn/ph gossiped to
         // every neighbor, a different lie per link) must be transient: the
-        // forger's own view is intact, so its periodic retransmissions
+        // forger's own view is intact, so its resends of the true state
         // overwrite the lies and the barrier still completes cleanly.
         for (name, dag) in [
             ("ring", SweepDag::ring(5).unwrap()),

@@ -2,15 +2,16 @@
 //! all timing through a [`Clock`].
 //!
 //! Each thread pumps its core ([`pump`]), runs the phase body when the core
-//! asks for it, gossips on every change and on a retransmission tick — which
-//! masks message loss/duplication/reordering/detectable-corruption exactly
-//! as the guarded-command formulation assumes ("j can read the state of j-1
-//! at any time") — and stops at the phase target or the deadline.
+//! asks for it, gossips on every change and resends unchanged state on the
+//! [`Resend`] backoff schedule — which masks message loss/duplication/
+//! reordering/detectable-corruption exactly as the guarded-command
+//! formulation assumes ("j can read the state of j-1 at any time") — and
+//! stops at the phase target or the deadline.
 //! [`crate::mb`] runs [`MbCore`](crate::proc::MbCore)s on it,
 //! [`crate::sweep_mp`] runs [`SweepCore`](crate::sweep_core::SweepCore)s;
 //! neither has a loop of its own.
 
-use crate::proc::{pump, CpEvent, Process};
+use crate::proc::{pump, CpEvent, Process, Resend};
 use crate::telemetry::replay;
 use crate::transport::Endpoint;
 use ftbarrier_core::spec::Violation;
@@ -40,6 +41,7 @@ pub(crate) struct Spec {
     pub program: &'static str,
     pub n_phases: u32,
     pub target_phases: u64,
+    /// Base period of the [`Resend`] policy.
     pub retransmit_every: Time,
     pub deadline: Time,
     pub work: Work,
@@ -122,6 +124,8 @@ where
                 core.events().reserve(256);
                 let mut now = Time::new(clock.now());
                 let mut last_gossip = now;
+                let mut resend = Resend::new(spec.retransmit_every);
+                let mut due = resend.changed();
                 let mut sent = core.gossip(&mut ep);
                 let mut fault_stopped = false;
                 while !stop.load(Ordering::Acquire) {
@@ -143,6 +147,8 @@ where
                         if requested[pid].swap(false, Ordering::AcqRel) {
                             apply(&mut core, now);
                             sent += core.gossip(&mut ep);
+                            last_gossip = now;
+                            due = resend.changed();
                         }
                     }
                     // The pump reads the clock after it drains the port, so
@@ -173,14 +179,16 @@ where
                     if out.moved {
                         sent += core.gossip(&mut ep);
                         last_gossip = now;
-                    } else if now.saturating_sub(last_gossip) >= spec.retransmit_every {
+                        due = resend.changed();
+                    } else if now.saturating_sub(last_gossip) >= due {
                         // The link went quiet: release any reorder-held message
-                        // and retransmit. The heartbeat event keeps live
-                        // processes visibly fresh in the flight recorder.
+                        // and resend. The heartbeat event keeps live processes
+                        // visibly fresh in the flight recorder.
                         ep.flush();
                         core.record_heartbeat(now);
                         sent += core.gossip(&mut ep);
                         last_gossip = now;
+                        due = resend.resent();
                     } else {
                         std::thread::yield_now();
                     }

@@ -4,11 +4,13 @@
 //! configuration.
 
 use ftbarrier_core::Cp;
+use ftbarrier_gcs::Time;
 use ftbarrier_mp::channel::ChannelFaults;
 use ftbarrier_mp::mb_sim::{
     run, run_with_telemetry, ChurnConfig, CrashPlan, FaultPlan, PartitionPlan, SimMbConfig,
 };
 use ftbarrier_mp::simnet::{LatencyModel, LinkConfig};
+use ftbarrier_mp::Resend;
 use ftbarrier_telemetry::{FlightDump, Telemetry, TimeDomain};
 
 fn lossy(loss: f64) -> LinkConfig {
@@ -281,9 +283,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Golden rendered trace: recorded when the run log was still written as
-/// text on every event, so this pins the lazily rendered log to the same
-/// bytes — not merely to itself. The config touches every kind of line:
+/// Golden rendered trace. First recorded when the run log was still written
+/// as text on every event, which pinned the lazily rendered log to the same
+/// bytes, not merely to itself. Re-recorded once since, when fixed-period
+/// retransmission gave way to the `Resend` backoff, which moves every
+/// resend by construction. The config touches every kind of line:
 /// deliveries, moves and work-done under jittery nasty links, Poisson and
 /// scheduled poisons, a crash long enough to be spliced out, its reboot
 /// and readmission, and both epoch settlements.
@@ -317,12 +321,12 @@ fn golden_trace_of_a_nasty_churning_run() {
     assert!(report.reached_target, "{report:?}");
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert_eq!((report.suspicions, report.rejoins, report.epoch), (1, 1, 2));
-    assert_eq!(report.messages_sent, [789, 790, 729, 791, 796, 801]);
+    assert_eq!(report.messages_sent, [390, 389, 370, 383, 398, 401]);
     let text = report.trace.render();
-    assert_eq!(text.len(), 128_034);
+    assert_eq!(text.len(), 83_556);
     assert_eq!(
         fnv1a(text.as_bytes()),
-        0x624b_64c8_b03e_f130,
+        0x7313_e60f_1071_0280,
         "trace diverged from the recording"
     );
 }
@@ -337,13 +341,18 @@ fn infinite_retransmit_period_is_rejected_by_name() {
 }
 
 /// The loss-0 message count of ring 16, split exactly into its two
-/// sources: retransmission ticks (one gossip per process per period,
-/// whether or not anything changed) and movement gossips (the start
-/// announcements plus one per state change, each a line of the trace).
-/// This is the baseline a change to the retransmission policy is measured
-/// against; the model needs about 3N token hops per phase.
+/// sources: resends of unchanged state on the [`Resend`] backoff schedule,
+/// and movement gossips (the start announcements plus one per state change,
+/// each a line of the trace). The resends are re-derived from the trace
+/// alone: every gap between a process's changes holds exactly the resends
+/// its schedule puts there. The model needs about 3N token hops per phase;
+/// movement is exactly that.
+///
+/// Before change-driven sending, every process resent on a fixed 0.05
+/// clock: 16 832 ticks beside the same 1 921 movement gossips, 468.8
+/// messages per phase against 207.0 now.
 #[test]
-fn ring16_loss0_messages_split_into_ticks_and_movement() {
+fn ring16_loss0_messages_split_into_resends_and_movement() {
     let n = 16;
     let target = 40;
     let cfg = SimMbConfig {
@@ -358,19 +367,40 @@ fn ring16_loss0_messages_split_into_ticks_and_movement() {
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert_eq!(report.net.lost, 0);
 
+    // Each process's change times: its start announcement, then one per
+    // move line, stamped with the scheduling point the line follows.
+    let mut changes = vec![vec![0.0]; n];
+    let mut now = 0.0;
+    for line in report.trace.render().lines() {
+        if let Some(rest) = line.strip_prefix("t ") {
+            now = rest.split(' ').next().unwrap().parse().unwrap();
+        } else if let Some(rest) = line.strip_prefix("  p") {
+            let pid: usize = rest.split(' ').next().unwrap().parse().unwrap();
+            changes[pid].push(now);
+        }
+    }
+    let end = report.virtual_elapsed.as_f64();
+    let mut resends = 0u64;
+    for times in &changes {
+        for (i, &from) in times.iter().enumerate() {
+            let until = times.get(i + 1).copied().unwrap_or(end);
+            let mut r = Resend::new(Time::new(cfg.retransmit_every));
+            let mut at = from + r.changed().as_f64();
+            while at < until {
+                resends += 1;
+                at += r.resent().as_f64();
+            }
+        }
+    }
+    let movement = changes.iter().map(|c| c.len() as u64).sum::<u64>();
     let total: u64 = report.messages_sent.iter().sum();
-    let periods = (report.virtual_elapsed.as_f64() / cfg.retransmit_every).floor() as u64;
-    let ticks = n as u64 * periods;
-    let moves = report
-        .trace
-        .render()
-        .lines()
-        .filter(|l| l.starts_with("  p"))
-        .count() as u64;
-    let movement = n as u64 + moves;
-    // Per phase: 420.8 ticks and 48.0 movement gossips (= 3N).
-    assert_eq!((ticks, movement), (16_832, 1_921));
-    assert_eq!(total, ticks + movement, "every message is a tick or a move");
+    // Per phase: 158.95 resends and 48.0 movement gossips (= 3N).
+    assert_eq!((resends, movement), (6_358, 1_921));
+    assert_eq!(
+        total,
+        resends + movement,
+        "every message is a resend or a move"
+    );
     assert!(
         movement <= 4 * n as u64 * target,
         "{movement} movement gossips over {target} phases"
@@ -572,6 +602,92 @@ fn churn_enabled_fault_free_run_is_byte_identical() {
     }
 }
 
+/// A live process in a long phase body stays quiet, so its resends back
+/// off to the cap: one every 0.2, where a plain silence rule of 0.5 trips
+/// on two consecutive losses. At 20% loss that happens dozens of times in
+/// each of these runs. The detector counts ten missed resends along the
+/// announced schedule instead, so it never suspects anyone, and enabling it
+/// leaves the run byte-identical.
+#[test]
+fn quiet_live_process_at_the_backoff_cap_is_never_suspected_at_20_percent_loss() {
+    for seed in [3u64, 0x20, 0xCAFE] {
+        let base = SimMbConfig {
+            n: 5,
+            target_phases: 4,
+            seed,
+            phase_cost: 8.0,
+            link: lossy(0.2),
+            ..Default::default()
+        };
+        let off = run(base.clone());
+        let on = run(SimMbConfig {
+            churn: Some(ChurnConfig::default()),
+            ..base
+        });
+        assert!(on.reached_target, "seed {seed}: {on:?}");
+        assert!(on.violations.is_empty(), "seed {seed}: {:?}", on.violations);
+        assert!(on.net.lost > 50, "seed {seed}: the links were lossy");
+        assert_eq!(
+            on.suspicions, 0,
+            "seed {seed}: a live process was suspected"
+        );
+        assert_eq!(off.trace, on.trace, "seed {seed}: churn perturbed the run");
+    }
+}
+
+/// p2 crashes in the middle of a long phase body, resending at the cap. The
+/// detector suspects it at the first check after ten resends along the
+/// schedule its last delivered message announced have failed to arrive —
+/// not after the plain 0.5 of silence.
+#[test]
+fn crashed_process_is_suspected_exactly_one_announced_deadline_after_it_was_last_heard() {
+    let cc = ChurnConfig::default();
+    let cfg = SimMbConfig {
+        n: 4,
+        target_phases: 3,
+        phase_cost: 8.0,
+        link: LinkConfig::perfect(0.01),
+        plan: FaultPlan {
+            crashes: vec![CrashPlan {
+                pid: 2,
+                at: 3.0,
+                reboot_at: 1e9,
+            }],
+            ..Default::default()
+        },
+        churn: Some(cc),
+        ..Default::default()
+    };
+    let report = run(cfg.clone());
+    assert!(report.reached_target, "{report:?}");
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert_eq!(report.suspicions, 1);
+    // p2 last changed when the execute sweep reached it, at 0.02.
+    let text = report.trace.render();
+    let moved = text.lines().position(|l| l.starts_with("  p2 ")).unwrap();
+    assert_eq!(text.lines().nth(moved - 1), Some("t 0.020000 deliver x1"));
+    // Replay its resend schedule up to the crash: the last resend it sent,
+    // one link latency later, is the last the root heard of it.
+    let mut r = Resend::new(Time::new(cfg.retransmit_every));
+    let (mut sent, mut next) = (0.02, 0.02 + r.changed().as_f64());
+    let mut announced = r;
+    while next < 3.0 {
+        sent = next;
+        next += r.resent().as_f64();
+        announced = r;
+    }
+    let heard = sent + 0.01;
+    let resends = (cc.suspect_after / cfg.retransmit_every).round() as u32;
+    let deadline = announced.deadline(resends).as_f64();
+    assert_eq!(deadline, 2.0, "announced at the cap: ten resends of 0.2");
+    let suspected = report.last_change_at;
+    assert!(
+        heard + deadline < suspected && suspected <= heard + deadline + cc.check_every,
+        "heard {heard}, suspected {suspected}"
+    );
+    assert!(suspected > heard + cc.suspect_after + 1.0);
+}
+
 #[test]
 fn permanent_crash_is_detected_spliced_and_survivors_progress() {
     // Without churn this exact plan wedges the ring forever (see
@@ -750,14 +866,15 @@ fn forged_epoch_restabilizes_via_anti_entropy() {
     // Corrupting the epoch of an in-flight message to an arbitrary u64 makes
     // the receiver drop all honest traffic as stale — until the membership
     // check's anti-entropy fast-forwards the root past the forged value and
-    // the gossip wave re-unifies the ring. Forge times sit just after a
-    // retransmission tick so a message is guaranteed to be in flight.
+    // the gossip wave re-unifies the ring. Each forge lands halfway through
+    // the 0.01 flight of a state change its link's sender publishes (p1's
+    // success at 2.11, p3's at 3.23), so a message is in flight.
     let report = run(SimMbConfig {
         n: 5,
         target_phases: 15,
         max_time: 120.0,
         plan: FaultPlan {
-            epoch_forges: vec![(2.055, 1), (3.055, 3)],
+            epoch_forges: vec![(2.115, 1), (3.235, 3)],
             ..Default::default()
         },
         churn: Some(ChurnConfig::default()),

@@ -16,7 +16,7 @@
 //! virtual time in tests ([`TestClock`]) with not a single sleep.
 //!
 //! [`GroupMembership`] stacks the detector on a
-//! [`Membership`](ftbarrier_topology::Membership) over the barrier's sweep
+//! [`Membership`] over the barrier's sweep
 //! topology: a suspicion splices the process out of the view (bumping the
 //! epoch), a heartbeat from a suspected process grafts it back. The root
 //! (process 0, the paper's distinguished detector) is monitored but never
