@@ -24,13 +24,11 @@
 //! root (the driver, acting as the paper's distinguished detector) runs a
 //! periodic membership check:
 //!
-//! * **Detection** — every message announces its sender's [`Resend`]
-//!   backoff step ([`WireMsg::step`]), so the root knows when each live
-//!   member's next resends are due. A member from which the next
-//!   [`ChurnConfig::suspect_after`]` / retransmit_every` resends along that
-//!   announced schedule have all failed to arrive is suspected fail-stop
-//!   and *spliced* out: its ring neighbors are re-linked and the epoch is
-//!   bumped. Because every process resends its full state until it
+//! * **Detection** — a live member whose link has been silent longer than
+//!   [`ChurnConfig::suspect_after`]` / retransmit_every` resends take at
+//!   the [`Resend`] backoff cap ([`Resend::deadline`]) is suspected
+//!   fail-stop and *spliced* out: its ring neighbors are re-linked and the
+//!   epoch is bumped. Because every process resends its full state until it
 //!   changes (and publishes every change at once), the splice itself
 //!   regenerates the sweep — the successor simply reads the predecessor of
 //!   the dead process from then on.
@@ -130,10 +128,10 @@ pub struct FaultPlan {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// Missed resends that suspect fail-stop, counted in base periods: a
-    /// live member is suspected once `suspect_after / retransmit_every`
-    /// (rounded, at least one) consecutive resends along the backoff
-    /// schedule it last announced have all failed to arrive. The default
-    /// 0.5 is ten resends at the default period. Without backoff this is
+    /// live member is suspected once its link has been silent for longer
+    /// than `suspect_after / retransmit_every` (rounded, at least one)
+    /// resends take at the backoff cap. The default 0.5 is ten resends at
+    /// the default period, 2.0 of silence. Without backoff this would be
     /// plain silence longer than `suspect_after`; it must comfortably exceed
     /// the worst link latency, or a slow link reads as a dead process.
     pub suspect_after: f64,
@@ -215,14 +213,11 @@ impl Default for SimMbConfig {
 }
 
 /// What actually travels on a simulated link: the §5 state gossip stamped
-/// with the sender's believed membership epoch and its [`Resend`] step.
-/// With churn disabled every epoch is 0 and both stamps are inert.
+/// with the sender's believed membership epoch. With churn disabled every
+/// epoch is 0 and the stamp is inert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireMsg {
     pub epoch: u64,
-    /// The sender's backoff step: its next resend is due one
-    /// [`Resend::interval`] at this step after this send.
-    pub step: u8,
     pub msg: StateMsg,
 }
 
@@ -354,8 +349,6 @@ struct ChurnShared {
     /// Per-process link to pop deliveries from (the ring predecessor in the
     /// current view; with churn disabled, always `pid - 1 mod n`).
     pred_link: Vec<usize>,
-    /// Per sender: the backoff step its latest delivered message announced.
-    heard_step: Vec<u8>,
     stale_dropped: u64,
 }
 
@@ -368,8 +361,6 @@ pub struct SimEndpoint {
     churn: Rc<RefCell<ChurnShared>>,
     pid: usize,
     out_link: usize,
-    /// The backoff step stamped on the next send.
-    step: u8,
 }
 
 impl Endpoint for SimEndpoint {
@@ -380,10 +371,9 @@ impl Endpoint for SimEndpoint {
 
     fn send_tagged(&mut self, msg: StateMsg, tag: Option<EventId>) -> bool {
         let epoch = self.churn.borrow().epoch[self.pid];
-        let step = self.step;
         self.net
             .borrow_mut()
-            .send_tagged(self.out_link, WireMsg { epoch, step, msg }, tag);
+            .send_tagged(self.out_link, WireMsg { epoch, msg }, tag);
         true
     }
 
@@ -396,7 +386,6 @@ impl Endpoint for SimEndpoint {
                 (Delivery::Corrupted, _) => return Some((Delivery::Corrupted, None)),
                 (Delivery::Ok(w), tag) => {
                     let mut sh = self.churn.borrow_mut();
-                    sh.heard_step[in_link] = w.step;
                     if w.epoch < sh.epoch[self.pid] {
                         // A stale-epoch message is detectably from a
                         // pre-reconfiguration view: masked as loss.
@@ -446,10 +435,9 @@ struct Driver {
     /// `work_token` value for which a `WorkDone` is already scheduled.
     work_scheduled: Vec<Option<u64>>,
     messages_sent: Vec<u64>,
-    /// Per process: its resend schedule and the generation of its one live
-    /// resend timer (older ones are superseded).
+    /// Per process: its resend schedule, which also names its one live
+    /// resend timer.
     resend: Vec<Resend>,
-    timer: Vec<u64>,
     advances: u64,
     fault_rng: SimRng,
     trace: TraceLog,
@@ -483,17 +471,14 @@ impl Driver {
 
     /// Publish `pid`'s changed state and restart its resend schedule.
     fn gossip(&mut self, pid: usize) {
-        let delay = self.resend[pid].changed();
-        self.publish(pid, delay);
+        let timer = self.resend[pid].changed();
+        self.publish(pid, timer);
     }
 
-    /// Send `pid`'s state, announcing its backoff step, then arm its one
-    /// resend timer `delay` from now (superseding any earlier one).
-    fn publish(&mut self, pid: usize, delay: Time) {
-        self.eps[pid].step = self.resend[pid].step();
+    /// Send `pid`'s state, then arm its one resend timer, generation `gen`,
+    /// `delay` from now (superseding any earlier one).
+    fn publish(&mut self, pid: usize, (delay, gen): (Time, u64)) {
         self.messages_sent[pid] += self.cores[pid].gossip(&mut self.eps[pid]);
-        self.timer[pid] += 1;
-        let gen = self.timer[pid];
         self.schedule((self.now + delay).as_f64(), Ctl::Resend { pid, gen });
     }
 
@@ -509,8 +494,8 @@ impl Driver {
         }
         self.eps[pid].flush();
         self.cores[pid].record_heartbeat(self.now);
-        let delay = self.resend[pid].resent();
-        self.publish(pid, delay);
+        let timer = self.resend[pid].resent();
+        self.publish(pid, timer);
     }
 
     fn epoch(&self, pid: usize) -> u64 {
@@ -564,15 +549,9 @@ impl Driver {
         self.drive(pid);
     }
 
-    /// Drop everything delivered on `link`, noting the backoff step its
-    /// sender announced.
     fn drain_link(&mut self, link: usize) {
         let mut net = self.net.borrow_mut();
-        while let Some(d) = net.pop_inbox(link) {
-            if let Delivery::Ok(w) = d {
-                self.churn.borrow_mut().heard_step[link] = w.step;
-            }
-        }
+        while net.pop_inbox(link).is_some() {}
     }
 
     /// Record the current membership as a new oracle segment, starting at
@@ -692,20 +671,17 @@ impl Driver {
             self.gossip(0);
         }
         // Fail-stop detection: the root is immortal, everyone else must
-        // have been heard from within its next `resends` announced resends.
+        // have been heard from within the time `resends` resends take at the
+        // backoff cap.
         let resends = ((cc.suspect_after / self.cfg.retransmit_every).round() as u32).max(1);
-        let schedule = Resend::new(Time::new(self.cfg.retransmit_every));
+        let deadline = Resend::new(Time::new(self.cfg.retransmit_every))
+            .deadline(resends)
+            .as_f64();
         let now = self.now.as_f64();
         let mem = self.membership.as_ref().expect("churn enabled");
-        let suspects: Vec<usize> = {
-            let sh = self.churn.borrow();
-            (1..n)
-                .filter(|&p| {
-                    let deadline = schedule.at_step(sh.heard_step[p]).deadline(resends);
-                    mem.is_alive(p) && now - self.last_heard[p] > deadline.as_f64()
-                })
-                .collect()
-        };
+        let suspects: Vec<usize> = (1..n)
+            .filter(|&p| mem.is_alive(p) && now - self.last_heard[p] > deadline)
+            .collect();
         for p in suspects {
             self.splice_out(p);
         }
@@ -907,7 +883,6 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
     let churn_shared = Rc::new(RefCell::new(ChurnShared {
         epoch: vec![0; n],
         pred_link: (0..n).map(|pid| (pid + n - 1) % n).collect(),
-        heard_step: vec![0; n],
         stale_dropped: 0,
     }));
     let eps: Vec<SimEndpoint> = (0..n)
@@ -916,7 +891,6 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
             churn: Rc::clone(&churn_shared),
             pid,
             out_link: pid,
-            step: 0,
         })
         .collect();
 
@@ -934,7 +908,6 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
         work_scheduled: vec![None; n],
         messages_sent: vec![0; n],
         resend: vec![Resend::new(Time::new(cfg.retransmit_every)); n],
-        timer: vec![0; n],
         advances: 0,
         fault_rng: rng.fork(),
         trace: TraceLog::default(),
@@ -1011,7 +984,7 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
     while !reached {
         // A superseded resend timer is no scheduling point: drop it unseen.
         while let Some(&Reverse((_, _, Ctl::Resend { pid, gen }))) = d.ctl.peek() {
-            if gen == d.timer[pid] {
+            if d.resend[pid].is_live(gen) {
                 break;
             }
             d.ctl.pop();

@@ -164,77 +164,65 @@ pub trait Process {
 
 /// The backoff cap as a power of two: quiet state is resent at most every
 /// `2^RESEND_CAP_STEP × base`, i.e. every `4 × retransmit_every`.
-pub const RESEND_CAP_STEP: u8 = 2;
+const RESEND_CAP_STEP: u8 = 2;
 
 /// When a process publishes its state, the one resend policy every driver
 /// obeys. §5 resends only to mask loss, so a process sends on every state
 /// change and then, while nothing changes, resends after `base`, `2·base`,
 /// `4·base`, `4·base`, … — the interval doubles up to a fixed cap and the
 /// next change resets it. The cap keeps a bounded heartbeat, so a live
-/// process never falls silent for long.
+/// process never falls silent for longer than [`Resend::deadline`] allows.
 ///
-/// The *step* indexes the interval until the next resend. A sender
-/// announces it on the wire, which lets a failure detector count missed
-/// resends along the sender's own schedule ([`Resend::deadline`]).
+/// Every send arms one timer, tagged with a generation; a driver that keeps
+/// timers in a queue drops the ones a later send superseded
+/// ([`Resend::is_live`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Resend {
     base: Time,
-    cap: u8,
     step: u8,
+    gen: u64,
 }
 
 impl Resend {
     /// The policy at period `base`, capped at `4 × base`.
     pub fn new(base: Time) -> Resend {
-        Resend::capped(base, RESEND_CAP_STEP)
-    }
-
-    /// The policy at period `base`, capped at `2^cap × base`. With `cap = 0`
-    /// it is a fixed-period resend.
-    pub fn capped(base: Time, cap: u8) -> Resend {
-        Resend { base, cap, step: 0 }
-    }
-
-    /// The same policy as announced at `step` by a sender.
-    pub fn at_step(self, step: u8) -> Resend {
         Resend {
-            step: step.min(self.cap),
-            ..self
+            base,
+            step: 0,
+            gen: 0,
         }
     }
 
-    /// The step announced with the next send.
-    pub fn step(&self) -> u8 {
-        self.step
-    }
-
-    /// Time from the last send to the next resend.
-    pub fn interval(&self) -> Time {
-        self.base * f64::from(1u32 << self.step)
-    }
-
     /// The state changed and went out: restart the schedule. Returns the
-    /// delay until the first resend.
-    pub fn changed(&mut self) -> Time {
+    /// delay until the first resend and the generation of its timer.
+    pub fn changed(&mut self) -> (Time, u64) {
         self.step = 0;
-        self.interval()
+        self.arm()
     }
 
     /// Unchanged state was resent: back off one step. Returns the delay
-    /// until the next resend.
-    pub fn resent(&mut self) -> Time {
-        self.step = (self.step + 1).min(self.cap);
-        self.interval()
+    /// until the next resend and the generation of its timer.
+    pub fn resent(&mut self) -> (Time, u64) {
+        self.step = (self.step + 1).min(RESEND_CAP_STEP);
+        self.arm()
     }
 
-    /// How long the next `resends` resends take from the last send, if the
-    /// state stays unchanged: a silence longer than this means every one of
-    /// them was lost, or the sender stopped.
-    pub fn deadline(self, resends: u32) -> Time {
-        let periods: u32 = (0..resends)
-            .map(|i| 1u32 << (u32::from(self.step) + i).min(u32::from(self.cap)))
-            .sum();
-        self.base * f64::from(periods)
+    fn arm(&mut self) -> (Time, u64) {
+        self.gen += 1;
+        (self.base * f64::from(1u32 << self.step), self.gen)
+    }
+
+    /// Whether the timer of generation `gen` is the one the latest send
+    /// armed, rather than one it superseded.
+    pub fn is_live(&self, gen: u64) -> bool {
+        gen == self.gen
+    }
+
+    /// The longest the next `resends` resends of unchanged state take from
+    /// the last send, `resends` intervals at the cap: a silence longer than
+    /// this means every one of them was lost, or the sender stopped.
+    pub fn deadline(&self, resends: u32) -> Time {
+        self.base * f64::from(resends << RESEND_CAP_STEP)
     }
 }
 
@@ -641,47 +629,53 @@ mod tests {
 
     /// Delays until each of the next `k` resends of unchanged state.
     fn schedule(r: &mut Resend, k: usize) -> Vec<f64> {
-        (0..k).map(|_| r.resent().as_f64()).collect()
+        (0..k).map(|_| r.resent().0.as_f64()).collect()
     }
 
     #[test]
     fn resend_interval_doubles_to_the_cap_and_a_change_resets_it() {
         let mut r = Resend::new(Time::new(0.25));
-        assert_eq!(r.changed().as_f64(), 0.25);
-        assert_eq!(r.step(), 0);
+        assert_eq!(r.changed().0.as_f64(), 0.25);
         assert_eq!(schedule(&mut r, 5), [0.5, 1.0, 1.0, 1.0, 1.0]);
-        assert_eq!(r.step(), RESEND_CAP_STEP);
-        assert_eq!(r.changed().as_f64(), 0.25, "a change resets the backoff");
+        assert_eq!(r.changed().0.as_f64(), 0.25, "a change resets the backoff");
         assert_eq!(schedule(&mut r, 2), [0.5, 1.0]);
     }
 
     #[test]
-    fn resend_capped_at_its_base_is_the_fixed_period() {
-        let mut r = Resend::capped(Time::new(0.05), 0);
-        assert_eq!(r.changed().as_f64(), 0.05);
-        assert_eq!(schedule(&mut r, 4), [0.05; 4]);
-        assert_eq!(r.deadline(10).as_f64(), 10.0 * 0.05);
+    fn only_the_timer_of_the_latest_send_is_live() {
+        let mut r = Resend::new(Time::new(0.05));
+        let (_, first) = r.changed();
+        assert!(r.is_live(first));
+        let (_, second) = r.resent();
+        assert!(!r.is_live(first) && r.is_live(second));
+        let (_, third) = r.changed();
+        assert!(!r.is_live(second) && r.is_live(third));
     }
 
     #[test]
-    fn deadline_is_the_sum_of_the_next_resend_intervals() {
-        for step in 0..=RESEND_CAP_STEP {
+    fn deadline_is_the_sum_of_the_next_resend_intervals_at_the_cap() {
+        for earlier in 0..4 {
             for k in [1, 3, 10] {
-                let mut r = Resend::new(Time::new(0.05)).at_step(step);
-                let mut sum = r.interval().as_f64();
-                sum += schedule(&mut r, k as usize - 1).iter().sum::<f64>();
-                let announced = Resend::new(Time::new(0.05)).at_step(step);
-                let got = announced.deadline(k).as_f64();
-                assert!(
-                    (got - sum).abs() < 1e-12,
-                    "step {step}, {k}: {got} vs {sum}"
-                );
+                // After a change and `earlier` resends, the next `k` resends
+                // take the pending delay plus `k - 1` more intervals.
+                let mut r = Resend::new(Time::new(0.05));
+                let mut pending = r.changed().0.as_f64();
+                for _ in 0..earlier {
+                    pending = r.resent().0.as_f64();
+                }
+                let sum = pending + schedule(&mut r, k as usize - 1).iter().sum::<f64>();
+                let deadline = r.deadline(k).as_f64();
+                if earlier >= usize::from(RESEND_CAP_STEP) {
+                    assert!(
+                        (deadline - sum).abs() < 1e-12,
+                        "{earlier}, {k}: {deadline} vs {sum}"
+                    );
+                } else {
+                    assert!(sum < deadline, "{earlier}, {k}: {deadline} vs {sum}");
+                }
             }
         }
-        // The default detector's ten resends: 1 + 2 + 8 × 4 = 35 periods
-        // from step 0, 40 periods (2.0) from the cap.
-        let base = Resend::new(Time::new(0.05));
-        assert_eq!(base.deadline(10).as_f64(), 0.05 * 35.0);
-        assert_eq!(base.at_step(2).deadline(10).as_f64(), 2.0);
+        // The default detector's ten resends: ten intervals of 0.2.
+        assert_eq!(Resend::new(Time::new(0.05)).deadline(10).as_f64(), 2.0);
     }
 }

@@ -170,10 +170,9 @@ struct Driver {
     /// Backing store of every [`SimPort`]'s staged burst.
     staged: Vec<TaggedMsg<PosMsg>>,
     messages_sent: Vec<u64>,
-    /// Per process: its resend schedule and the generation of its one live
-    /// resend timer (older ones are superseded).
+    /// Per process: its resend schedule, which also names its one live
+    /// resend timer.
     resend: Vec<Resend>,
-    timer: Vec<u64>,
     advances: u64,
     trace: String,
     muted: Vec<bool>,
@@ -191,13 +190,14 @@ impl Driver {
         if self.muted[pid] {
             return;
         }
-        let delay = self.resend[pid].changed();
-        self.publish(pid, delay);
+        let timer = self.resend[pid].changed();
+        self.publish(pid, timer);
     }
 
     /// Put `pid`'s state on every outgoing link, then arm its one resend
-    /// timer `delay` from now (superseding any earlier one).
-    fn publish(&mut self, pid: usize, delay: Time) {
+    /// timer, generation `gen`, `delay` from now (superseding any earlier
+    /// one).
+    fn publish(&mut self, pid: usize, (delay, gen): (Time, u64)) {
         let mut port = SimPort {
             net: &mut self.net,
             out_links: &self.out_links[pid],
@@ -205,8 +205,6 @@ impl Driver {
             staged: &mut self.staged,
         };
         self.messages_sent[pid] += self.cores[pid].gossip(&mut port);
-        self.timer[pid] += 1;
-        let gen = self.timer[pid];
         self.schedule((self.now + delay).as_f64(), Ctl::Resend { pid, gen });
     }
 
@@ -218,8 +216,8 @@ impl Driver {
             return;
         }
         self.cores[pid].record_heartbeat(self.now);
-        let delay = self.resend[pid].resent();
-        self.publish(pid, delay);
+        let timer = self.resend[pid].resent();
+        self.publish(pid, timer);
     }
 
     /// Absorb what arrived on `rx` and fire `pid`'s guarded commands until
@@ -344,7 +342,6 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
         staged: Vec::new(),
         messages_sent: vec![0; n],
         resend: vec![Resend::new(Time::new(cfg.retransmit_every)); n],
-        timer: vec![0; n],
         advances: 0,
         trace: String::new(),
         muted: vec![false; n],
@@ -378,7 +375,7 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
     while !reached {
         // A superseded resend timer is no scheduling point: drop it unseen.
         while let Some(&Reverse((_, _, Ctl::Resend { pid, gen }))) = d.ctl.peek() {
-            if gen == d.timer[pid] {
+            if d.resend[pid].is_live(gen) {
                 break;
             }
             d.ctl.pop();

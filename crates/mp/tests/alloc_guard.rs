@@ -47,7 +47,6 @@ const BURST: u32 = 64;
 fn round(net: &mut SimNet<WireMsg>, touched: &mut Vec<usize>) -> (u64, u64, usize) {
     let msg = WireMsg {
         epoch: 0,
-        step: 0,
         msg: StateMsg::initial(),
     };
     let (sends, ()) = allocations(|| {

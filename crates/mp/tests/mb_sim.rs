@@ -385,10 +385,10 @@ fn ring16_loss0_messages_split_into_resends_and_movement() {
         for (i, &from) in times.iter().enumerate() {
             let until = times.get(i + 1).copied().unwrap_or(end);
             let mut r = Resend::new(Time::new(cfg.retransmit_every));
-            let mut at = from + r.changed().as_f64();
+            let mut at = from + r.changed().0.as_f64();
             while at < until {
                 resends += 1;
-                at += r.resent().as_f64();
+                at += r.resent().0.as_f64();
             }
         }
     }
@@ -605,9 +605,9 @@ fn churn_enabled_fault_free_run_is_byte_identical() {
 /// A live process in a long phase body stays quiet, so its resends back
 /// off to the cap: one every 0.2, where a plain silence rule of 0.5 trips
 /// on two consecutive losses. At 20% loss that happens dozens of times in
-/// each of these runs. The detector counts ten missed resends along the
-/// announced schedule instead, so it never suspects anyone, and enabling it
-/// leaves the run byte-identical.
+/// each of these runs. The detector waits for ten missed resends at the
+/// cap instead, so it never suspects anyone, and enabling it leaves the run
+/// byte-identical.
 #[test]
 fn quiet_live_process_at_the_backoff_cap_is_never_suspected_at_20_percent_loss() {
     for seed in [3u64, 0x20, 0xCAFE] {
@@ -636,11 +636,10 @@ fn quiet_live_process_at_the_backoff_cap_is_never_suspected_at_20_percent_loss()
 }
 
 /// p2 crashes in the middle of a long phase body, resending at the cap. The
-/// detector suspects it at the first check after ten resends along the
-/// schedule its last delivered message announced have failed to arrive —
-/// not after the plain 0.5 of silence.
+/// detector suspects it at the first check after ten resends at the cap
+/// have failed to arrive — not after the plain 0.5 of silence.
 #[test]
-fn crashed_process_is_suspected_exactly_one_announced_deadline_after_it_was_last_heard() {
+fn crashed_process_is_suspected_exactly_one_deadline_after_it_was_last_heard() {
     let cc = ChurnConfig::default();
     let cfg = SimMbConfig {
         n: 4,
@@ -669,17 +668,15 @@ fn crashed_process_is_suspected_exactly_one_announced_deadline_after_it_was_last
     // Replay its resend schedule up to the crash: the last resend it sent,
     // one link latency later, is the last the root heard of it.
     let mut r = Resend::new(Time::new(cfg.retransmit_every));
-    let (mut sent, mut next) = (0.02, 0.02 + r.changed().as_f64());
-    let mut announced = r;
+    let (mut sent, mut next) = (0.02, 0.02 + r.changed().0.as_f64());
     while next < 3.0 {
         sent = next;
-        next += r.resent().as_f64();
-        announced = r;
+        next += r.resent().0.as_f64();
     }
     let heard = sent + 0.01;
     let resends = (cc.suspect_after / cfg.retransmit_every).round() as u32;
-    let deadline = announced.deadline(resends).as_f64();
-    assert_eq!(deadline, 2.0, "announced at the cap: ten resends of 0.2");
+    let deadline = r.deadline(resends).as_f64();
+    assert_eq!(deadline, 2.0, "ten resends of 0.2 at the cap");
     let suspected = report.last_change_at;
     assert!(
         heard + deadline < suspected && suspected <= heard + deadline + cc.check_every,
