@@ -252,10 +252,16 @@ pub fn measure_phases_causal(
     }
     let mut monitor =
         SweepOracleMonitor::new(&program, Anchor::StrictFromZero).stop_after(exp.target_phases);
-    let mut latency = SweepLatencyMonitor::new(&program, exp.topology.label(), telemetry.clone())
-        .with_causal(recorder.clone());
-    let mut causal = CausalMonitor::from_protocol(&program, recorder.clone())
-        .with_phase(Box::new(|s: &PosState| Some(s.ph)));
+    // Observers the caller switched off are not built at all: each would
+    // only return early from every callback.
+    let mut latency = telemetry.is_enabled().then(|| {
+        SweepLatencyMonitor::new(&program, exp.topology.label(), telemetry.clone())
+            .with_causal(recorder.clone())
+    });
+    let mut causal = recorder.is_enabled().then(|| {
+        CausalMonitor::from_protocol(&program, recorder.clone())
+            .with_phase(Box::new(|s: &PosState| Some(s.ph)))
+    });
     let mut engine = Engine::new(&program, exp.seed);
     let config = EngineConfig {
         seed: exp.seed ^ 0x5EED,
@@ -268,10 +274,13 @@ pub fn measure_phases_causal(
         ..Default::default()
     };
     let outcome = {
-        let mut set = MonitorSet::new()
-            .with(&mut monitor)
-            .with(&mut latency)
-            .with(&mut causal);
+        let mut set = MonitorSet::new().with(&mut monitor);
+        if let Some(latency) = latency.as_mut() {
+            set.push(latency);
+        }
+        if let Some(causal) = causal.as_mut() {
+            set.push(causal);
+        }
         if exp.f > 0.0 {
             let mut faults = ProcessFaults::new(
                 &program,
@@ -318,7 +327,7 @@ pub fn measure_phases_causal(
     } else {
         f64::NAN
     };
-    let attribution = latency.attribution_report();
+    let attribution = latency.map_or_else(Vec::new, |l| l.attribution_report());
     (
         PhaseMeasurement {
             phases: oracle.phases_completed(),

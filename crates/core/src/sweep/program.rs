@@ -414,6 +414,45 @@ impl SweepBarrier {
         }
     }
 
+    /// Every enabled action at `pos`, ascending, in one pass over any state
+    /// view — the single body behind both `Protocol::enabled_actions` and
+    /// `dense_enabled_actions`. It reads `pos`'s own lanes once and gates
+    /// each guard on those local conditions before touching the
+    /// neighbourhood, instead of re-reading the state for each of the six
+    /// actions; the result equals filtering [`Self::enabled_in`] over them.
+    fn enabled_actions_in<V: SweepStateView + ?Sized>(
+        &self,
+        g: &V,
+        pos: Pos,
+        out: &mut Vec<ActionId>,
+    ) {
+        out.clear();
+        let sn = g.sn(pos);
+        let cp = g.cp(pos);
+        let done = g.done(pos);
+        let worker = self.worker[pos];
+
+        if self.has_token_in(g, pos) && !self.recv_blocked_on_work(g, pos) {
+            out.push(RECV);
+        }
+        if worker && cp == Cp::Execute && !done {
+            out.push(WORK);
+        }
+        if sn == Sn::Bot {
+            if self.csr.is_sink(pos) {
+                out.push(T3);
+            } else if self.top_wave_arrived(g, pos) {
+                out.push(T4);
+            }
+        }
+        if pos == SweepDag::ROOT && sn == Sn::Top {
+            out.push(T5);
+        }
+        if self.fuzzy() && worker && !g.post(pos) && matches!(cp, Cp::Success | Cp::Ready) {
+            out.push(POSTWORK);
+        }
+    }
+
     /// T4's wave condition: all successors carry ⊤ — or, generalized closing
     /// of the ⊤ wave, a ⊥ root also accepts the wave from its *sinks* (the
     /// ring's T4 reads the successor, which for the ring's 0 is on the same
@@ -506,6 +545,10 @@ impl Protocol for SweepBarrier {
         self.enabled_in(g, pos, action)
     }
 
+    fn enabled_actions(&self, g: &[PosState], pos: Pid, out: &mut Vec<ActionId>) {
+        self.enabled_actions_in(g, pos, out);
+    }
+
     fn execute(&self, g: &[PosState], pos: Pid, action: ActionId, _rng: &mut SimRng) -> PosState {
         self.execute_in(g, pos, action)
     }
@@ -565,37 +608,8 @@ impl DenseProtocol for SweepBarrier {
         self.execute_in(dense, pos, action)
     }
 
-    /// Fused single pass: load `pos`'s lanes once and gate each guard on the
-    /// cheap local conditions before touching the neighborhood, instead of
-    /// re-reading the state for each of the six actions.
     fn dense_enabled_actions(&self, dense: &SweepSoa, pos: Pid, out: &mut Vec<ActionId>) {
-        out.clear();
-        let sn = dense.sn_at(pos);
-        let cp = dense.cp_at(pos);
-        let done = dense.done_at(pos);
-        let post = dense.post_at(pos);
-        let worker = self.worker[pos];
-        let is_root = pos == SweepDag::ROOT;
-
-        if self.has_token_in(dense, pos) && !self.recv_blocked_on_work(dense, pos) {
-            out.push(RECV);
-        }
-        if worker && cp == Cp::Execute && !done {
-            out.push(WORK);
-        }
-        if sn == Sn::Bot {
-            if self.csr.is_sink(pos) {
-                out.push(T3);
-            } else if self.top_wave_arrived(dense, pos) {
-                out.push(T4);
-            }
-        }
-        if is_root && sn == Sn::Top {
-            out.push(T5);
-        }
-        if self.fuzzy() && worker && !post && matches!(cp, Cp::Success | Cp::Ready) {
-            out.push(POSTWORK);
-        }
+        self.enabled_actions_in(dense, pos, out);
     }
 }
 

@@ -9,16 +9,23 @@
 //! commits, the per-action histogram). The hashes were recorded before the
 //! executors switched to one fused enabled-actions pass, so a run that
 //! changes a single trace byte fails here.
+//!
+//! The fused pass itself is held to its contract by a seeded property test
+//! at the end: on arbitrary global states of every topology kind, the
+//! enabled list equals filtering the individual guards.
 
 use std::fmt::{Debug, Write};
 
 use ftbarrier_core::sim::{measure_phases, PhaseExperiment, TopologySpec};
-use ftbarrier_core::sweep::{PosState, ProcessFaults, SweepBarrier, SweepDetectableFault};
+use ftbarrier_core::sweep::{
+    PosState, ProcessFaults, SweepBarrier, SweepDetectableFault, SweepSoa, POSTWORK, RECV, T3, T4,
+    T5, WORK,
+};
 use ftbarrier_gcs::fault::NoFaults;
 use ftbarrier_gcs::trace::Trace;
 use ftbarrier_gcs::{
-    ChoicePolicy, Engine, EngineConfig, Interleaving, InterleavingConfig, Masked, Protocol,
-    RunStats, Time,
+    ActionId, ChoicePolicy, DenseProtocol, DenseState, Engine, EngineConfig, Interleaving,
+    InterleavingConfig, Masked, Protocol, RunStats, SimRng, Time,
 };
 
 /// 64-bit FNV-1a over everything written into it.
@@ -317,5 +324,87 @@ fn measure_phases_counts() {
             "{topology:?} f={f}: {m:?} hashes to {:#018x}",
             h.0
         );
+    }
+}
+
+/// One topology of every kind the sweep program runs on.
+const SHAPES: [TopologySpec; 8] = [
+    TopologySpec::Ring { n: 8 },
+    TopologySpec::TwoRing { a: 3, b: 2 },
+    TopologySpec::Tree { n: 16, arity: 2 },
+    TopologySpec::DoubleTree { n: 7, arity: 2 },
+    TopologySpec::MbRing { n: 6 },
+    TopologySpec::Dissemination { n: 8, radix: 2 },
+    TopologySpec::Hypercube { n: 8 },
+    TopologySpec::Butterfly { n: 4 },
+];
+
+/// Arbitrary global states drawn per topology and per program variant.
+const SAMPLES: usize = 10_000;
+
+#[test]
+fn fused_enabled_actions_equal_filtering_enabled() {
+    let mut rng = SimRng::seed_from_u64(0xF05E);
+    let (mut fused, mut dense, mut masked_fused) = (Vec::new(), Vec::new(), Vec::new());
+    for topology in SHAPES {
+        for split in [None, Some((0.5, 0.5))] {
+            let base = program(topology, split);
+            let positions = base.dag().num_positions();
+            // Half the states come from the smallest legal sequence-number
+            // domain, where ⊥ and ⊤ are common enough for T3/T4/T5.
+            let variants = [
+                base.clone(),
+                base.clone().with_sn_domain(positions as u32 + 1),
+            ];
+            let alive: Vec<bool> = (0..positions).map(|_| rng.chance(0.8)).collect();
+            let mut seen = [false; 6];
+            for program in &variants {
+                let masked = Masked::new(program, alive.clone());
+                for _ in 0..SAMPLES / 2 {
+                    let global: Vec<PosState> = (0..positions)
+                        .map(|pos| program.arbitrary_state(pos, &mut rng))
+                        .collect();
+                    let soa = SweepSoa::from_states(&global);
+                    for pos in 0..positions {
+                        let filtered: Vec<ActionId> = (0..program.num_actions(pos))
+                            .filter(|&a| program.enabled(&global, pos, a))
+                            .collect();
+                        program.enabled_actions(&global, pos, &mut fused);
+                        program.dense_enabled_actions(&soa, pos, &mut dense);
+                        masked.enabled_actions(&global, pos, &mut masked_fused);
+                        let context =
+                            || format!("{topology:?} split {split:?} pos {pos} in {global:?}");
+                        assert_eq!(fused, filtered, "enabled_actions: {}", context());
+                        assert_eq!(dense, filtered, "dense_enabled_actions: {}", context());
+                        let masked_filtered: Vec<ActionId> = (0..masked.num_actions(pos))
+                            .filter(|&a| masked.enabled(&global, pos, a))
+                            .collect();
+                        assert_eq!(masked_fused, masked_filtered, "masked: {}", context());
+                        for &a in &filtered {
+                            seen[a] = true;
+                        }
+                    }
+                }
+            }
+            // Every guard was exercised both ways (POSTWORK exists only in
+            // the fuzzy program).
+            for (action, name) in [
+                (RECV, "RECV"),
+                (WORK, "WORK"),
+                (T3, "T3"),
+                (T4, "T4"),
+                (T5, "T5"),
+            ] {
+                assert!(
+                    seen[action],
+                    "{topology:?} split {split:?}: {name} never enabled"
+                );
+            }
+            assert_eq!(
+                seen[POSTWORK],
+                split.is_some(),
+                "{topology:?} split {split:?}: POSTWORK"
+            );
+        }
     }
 }

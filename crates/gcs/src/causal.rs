@@ -42,35 +42,47 @@ pub struct CausalMonitor<S> {
     scratch: Vec<EventId>,
 }
 
+/// `reads[p]` for every process `p`: the inverse of
+/// [`Protocol::readers_of`], plus `p` itself, sorted.
+fn read_sets<P: Protocol>(protocol: &P) -> Vec<Vec<Pid>> {
+    let n = protocol.num_processes();
+    let mut reads: Vec<Vec<Pid>> = vec![Vec::new(); n];
+    for q in 0..n {
+        match protocol.readers_of(q) {
+            ReaderSet::All => {
+                for r in reads.iter_mut() {
+                    r.push(q);
+                }
+            }
+            ReaderSet::These(ps) => {
+                for p in ps {
+                    debug_assert!(p < n, "readers_of({q}) names pid {p} out of range");
+                    reads[p].push(q);
+                }
+            }
+        }
+    }
+    for (p, r) in reads.iter_mut().enumerate() {
+        r.push(p); // program order: every process reads itself
+        r.sort_unstable();
+        r.dedup();
+    }
+    reads
+}
+
 impl<S> CausalMonitor<S> {
     /// Build from a protocol's declared read-sets. With a disabled
-    /// recorder the monitor is a no-op.
+    /// recorder the monitor is a no-op, construction included: the read
+    /// table is built only for a recorder that is on.
     pub fn from_protocol<P: Protocol<State = S>>(
         protocol: &P,
         recorder: CausalRecorder,
     ) -> CausalMonitor<S> {
-        let n = protocol.num_processes();
-        let mut reads: Vec<Vec<Pid>> = vec![Vec::new(); n];
-        for q in 0..n {
-            match protocol.readers_of(q) {
-                ReaderSet::All => {
-                    for r in reads.iter_mut() {
-                        r.push(q);
-                    }
-                }
-                ReaderSet::These(ps) => {
-                    for p in ps {
-                        debug_assert!(p < n, "readers_of({q}) names pid {p} out of range");
-                        reads[p].push(q);
-                    }
-                }
-            }
-        }
-        for (p, r) in reads.iter_mut().enumerate() {
-            r.push(p); // program order: every process reads itself
-            r.sort_unstable();
-            r.dedup();
-        }
+        let reads = if recorder.is_enabled() {
+            read_sets(protocol)
+        } else {
+            Vec::new()
+        };
         CausalMonitor {
             recorder,
             reads,
@@ -221,6 +233,22 @@ mod tests {
     fn off_recorder_records_nothing() {
         let rec = run_ring(CausalRecorder::off());
         assert!(rec.snapshot().events.is_empty());
+    }
+
+    #[test]
+    fn off_recorder_builds_no_read_table() {
+        let ring = DijkstraRing {
+            n: 4,
+            k: 7,
+            cost: Time::new(0.1),
+        };
+        let off = CausalMonitor::<u64>::from_protocol(&ring, CausalRecorder::off());
+        assert!(off.reads.is_empty());
+        let on = CausalMonitor::<u64>::from_protocol(&ring, CausalRecorder::bounded(16));
+        assert_eq!(
+            on.reads,
+            vec![vec![0, 3], vec![0, 1], vec![1, 2], vec![2, 3]]
+        );
     }
 
     #[test]

@@ -52,6 +52,15 @@
 //!   monitor callback needs is recovered by swapping new states in — the
 //!   engine never clones the global state vector. Fault observers get the
 //!   victim's pre-fault state from [`FaultHit::old`], captured by the plan.
+//! * **One guard pass per process.** Scheduling a process asks the
+//!   protocol once for its whole enabled set
+//!   ([`Protocol::enabled_actions`]) instead of evaluating each guard in
+//!   turn, so a protocol with a fused pass (the sweep program reads its
+//!   own lanes once and checks local conditions before its neighbours')
+//!   pays for one neighbourhood load, not one per action. The reader sets
+//!   are one flat compressed-row table (an offset array over a single
+//!   `u32` pid array) filled from [`Protocol::readers_of`] once, not one
+//!   heap `Vec` per process.
 //!
 //! [`EngineConfig::full_rescan`] forces the reference O(n)-per-event
 //! scheduler; the differential tests run both modes and assert identical
@@ -121,6 +130,45 @@ struct Pending {
     at: Time,
 }
 
+/// Every process's guard readers in one compressed-row table:
+/// `readers[offsets[q]..offsets[q + 1]]` are the sorted, deduped pids whose
+/// guards read q's state, always including q itself.
+struct ReaderTable {
+    offsets: Vec<u32>,
+    readers: Vec<u32>,
+}
+
+impl ReaderTable {
+    /// Collect [`Protocol::readers_of`] for every pid, or `None` when some
+    /// pid answers [`ReaderSet::All`].
+    fn build<P: Protocol>(protocol: &P) -> Option<ReaderTable> {
+        let n = protocol.num_processes();
+        assert!(n <= u32::MAX as usize, "pids must fit the u32 reader table");
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut readers = Vec::new();
+        offsets.push(0);
+        for pid in 0..n {
+            let ReaderSet::These(mut these) = protocol.readers_of(pid) else {
+                return None;
+            };
+            these.push(pid);
+            these.sort_unstable();
+            these.dedup();
+            assert!(
+                these.iter().all(|&r| r < n),
+                "readers_of({pid}) names a pid out of range (n={n})"
+            );
+            readers.extend(these.iter().map(|&r| r as u32));
+            offsets.push(u32::try_from(readers.len()).expect("reader table overflows u32"));
+        }
+        Some(ReaderTable { offsets, readers })
+    }
+
+    fn of(&self, pid: Pid) -> &[u32] {
+        &self.readers[self.offsets[pid] as usize..self.offsets[pid + 1] as usize]
+    }
+}
+
 /// The timed engine. Owns the global state between runs so that experiments
 /// can inspect or perturb it.
 ///
@@ -156,11 +204,10 @@ pub struct Engine<'p, P: Protocol> {
     now: Time,
     rng: SimRng,
     enabled_scratch: Vec<ActionId>,
-    /// `readers[q]` = sorted, deduped pids whose guards read q's state
-    /// (always including q itself). `None` when the protocol answered
+    /// Guard readers of every process; `None` when the protocol answered
     /// [`ReaderSet::All`] for some pid: every event then triggers a full
     /// guard rescan.
-    readers: Option<Vec<Vec<Pid>>>,
+    readers: Option<ReaderTable>,
     /// Dirty set: pids whose guards must be re-evaluated at the next
     /// scheduling pass. The flag vector makes membership O(1); the list
     /// makes iteration proportional to the set size.
@@ -191,27 +238,6 @@ impl<'p, P: Protocol> Engine<'p, P> {
         assert_eq!(global.len(), protocol.num_processes());
         let n = protocol.num_processes();
 
-        let mut reader_table = Vec::with_capacity(n);
-        let mut complete = true;
-        for pid in 0..n {
-            match protocol.readers_of(pid) {
-                ReaderSet::All => {
-                    complete = false;
-                    break;
-                }
-                ReaderSet::These(mut readers) => {
-                    readers.push(pid);
-                    readers.sort_unstable();
-                    readers.dedup();
-                    assert!(
-                        readers.iter().all(|&r| r < n),
-                        "readers_of({pid}) names a pid out of range (n={n})"
-                    );
-                    reader_table.push(readers);
-                }
-            }
-        }
-
         let mut action_offsets = Vec::with_capacity(n);
         let mut total_actions = 0;
         for pid in 0..n {
@@ -226,7 +252,7 @@ impl<'p, P: Protocol> Engine<'p, P> {
             now: Time::ZERO,
             rng: SimRng::seed_from_u64(seed),
             enabled_scratch: Vec::new(),
-            readers: complete.then_some(reader_table),
+            readers: ReaderTable::build(protocol),
             dirty_flag: vec![false; n],
             dirty_list: Vec::with_capacity(n),
             commits: BinaryHeap::with_capacity(n),
@@ -285,10 +311,11 @@ impl<'p, P: Protocol> Engine<'p, P> {
     /// State of `pid` changed: every process whose guard reads it may have
     /// flipped enabled-status. No-op under full rescans (`readers` absent).
     fn mark_readers_of(&mut self, pid: Pid) {
-        let Some(readers) = self.readers.as_deref() else {
+        let Some(readers) = &self.readers else {
             return;
         };
-        for &r in &readers[pid] {
+        for &r in readers.of(pid) {
+            let r = r as Pid;
             if !self.dirty_flag[r] {
                 self.dirty_flag[r] = true;
                 self.dirty_list.push(r);
@@ -299,12 +326,8 @@ impl<'p, P: Protocol> Engine<'p, P> {
     /// Evaluate `pid`'s guards against the current state and commit to one
     /// enabled action, if any.
     fn try_commit(&mut self, pid: Pid) {
-        self.enabled_scratch.clear();
-        for a in 0..self.protocol.num_actions(pid) {
-            if self.protocol.enabled(&self.global, pid, a) {
-                self.enabled_scratch.push(a);
-            }
-        }
+        self.protocol
+            .enabled_actions(&self.global, pid, &mut self.enabled_scratch);
         let action = match self.enabled_scratch.len() {
             0 => return,
             1 => self.enabled_scratch[0],

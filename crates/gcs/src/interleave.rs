@@ -51,7 +51,10 @@ pub struct Interleaving<'p, P: Protocol> {
     stats: RunStats,
     policy: ChoicePolicy,
     rr_cursor: usize,
+    /// Every enabled `(pid, action)` pair of the current step.
     scratch: Vec<(Pid, ActionId)>,
+    /// One process's enabled actions.
+    actions: Vec<ActionId>,
 }
 
 impl<'p, P: Protocol> Interleaving<'p, P> {
@@ -72,6 +75,7 @@ impl<'p, P: Protocol> Interleaving<'p, P> {
             policy: config.policy,
             rr_cursor: 0,
             scratch: Vec::new(),
+            actions: Vec::new(),
         }
     }
 
@@ -126,11 +130,9 @@ impl<'p, P: Protocol> Interleaving<'p, P> {
             ChoicePolicy::UniformRandom => {
                 self.scratch.clear();
                 for pid in 0..n {
-                    for a in 0..self.protocol.num_actions(pid) {
-                        if self.protocol.enabled(&self.global, pid, a) {
-                            self.scratch.push((pid, a));
-                        }
-                    }
+                    self.protocol
+                        .enabled_actions(&self.global, pid, &mut self.actions);
+                    self.scratch.extend(self.actions.iter().map(|&a| (pid, a)));
                 }
                 if self.scratch.is_empty() {
                     None
@@ -141,11 +143,11 @@ impl<'p, P: Protocol> Interleaving<'p, P> {
             ChoicePolicy::RoundRobin => {
                 for off in 0..n {
                     let pid = (self.rr_cursor + off) % n;
-                    for a in 0..self.protocol.num_actions(pid) {
-                        if self.protocol.enabled(&self.global, pid, a) {
-                            self.rr_cursor = (pid + 1) % n;
-                            return Some((pid, a));
-                        }
+                    self.protocol
+                        .enabled_actions(&self.global, pid, &mut self.actions);
+                    if let Some(&a) = self.actions.first() {
+                        self.rr_cursor = (pid + 1) % n;
+                        return Some((pid, a));
                     }
                 }
                 None

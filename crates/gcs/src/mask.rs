@@ -50,8 +50,14 @@ impl<'a, P: Protocol> Masked<'a, P> {
     /// current fixpoint. At a masked fixpoint these are exactly the crashed
     /// processes a token-timeout detector would (correctly) suspect.
     pub fn stalled_processes(&self, global: &[P::State]) -> Vec<Pid> {
+        let mut actions = Vec::new();
         (0..self.inner.num_processes())
-            .filter(|&p| !self.alive[p] && !self.inner.enabled_actions(global, p).is_empty())
+            .filter(|&p| {
+                !self.alive[p] && {
+                    self.inner.enabled_actions(global, p, &mut actions);
+                    !actions.is_empty()
+                }
+            })
             .collect()
     }
 }
@@ -73,6 +79,16 @@ impl<P: Protocol> Protocol for Masked<'_, P> {
 
     fn enabled(&self, global: &[Self::State], pid: Pid, action: ActionId) -> bool {
         self.alive[pid] && self.inner.enabled(global, pid, action)
+    }
+
+    /// A dead process has nothing enabled; a live one has exactly the inner
+    /// program's list (so the inner program's fused pass still applies).
+    fn enabled_actions(&self, global: &[Self::State], pid: Pid, out: &mut Vec<ActionId>) {
+        if self.alive[pid] {
+            self.inner.enabled_actions(global, pid, out);
+        } else {
+            out.clear();
+        }
     }
 
     fn execute(

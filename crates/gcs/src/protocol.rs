@@ -89,11 +89,19 @@ pub trait Protocol {
         ReaderSet::All
     }
 
-    /// Convenience: ids of all enabled actions at `pid`.
-    fn enabled_actions(&self, global: &[Self::State], pid: Pid) -> Vec<ActionId> {
-        (0..self.num_actions(pid))
-            .filter(|&a| self.enabled(global, pid, a))
-            .collect()
+    /// Replace the contents of `out` with the ids of every action enabled
+    /// at `pid`, in ascending order.
+    ///
+    /// Contract: afterwards `out` equals
+    /// `(0..num_actions(pid)).filter(|&a| enabled(global, pid, a))`, item
+    /// for item. Every executor asks for a process's enabled set through
+    /// this one call, so a protocol can override it with a fused pass that
+    /// loads its neighbourhood once instead of once per guard; the
+    /// override must keep the contract, since the executors' RNG draws
+    /// depend on the exact list.
+    fn enabled_actions(&self, global: &[Self::State], pid: Pid, out: &mut Vec<ActionId>) {
+        out.clear();
+        out.extend((0..self.num_actions(pid)).filter(|&a| self.enabled(global, pid, a)));
     }
 
     /// Convenience: true iff some action is enabled anywhere (the program is
@@ -196,8 +204,11 @@ mod tests {
         };
         let global = ring.initial_state();
         assert_eq!(tokens(&ring, &global), 1);
-        assert_eq!(ring.enabled_actions(&global, 0), vec![0]);
-        assert!(ring.enabled_actions(&global, 1).is_empty());
+        let mut actions = vec![7];
+        ring.enabled_actions(&global, 0, &mut actions);
+        assert_eq!(actions, vec![0]);
+        ring.enabled_actions(&global, 1, &mut actions);
+        assert!(actions.is_empty());
         assert!(ring.any_enabled(&global));
     }
 

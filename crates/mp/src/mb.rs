@@ -199,19 +199,17 @@ mod tests {
     use ftbarrier_telemetry::TestClock;
 
     /// Drive a spawned run to completion on virtual time: advance the test
-    /// clock while the worker threads spin, injecting planned poisons when
-    /// their virtual instants pass. No wall-clock timing is asserted.
+    /// clock each time every worker thread has read it, injecting planned
+    /// poisons when their virtual instants pass. No wall-clock timing is
+    /// asserted.
     fn drive_virtual(run: &MbRun, clock: &TestClock, plan: &[(f64, usize)]) {
         let h = run.handle();
         let mut next = 0;
-        while !run.stopped() {
-            clock.advance(0.01);
-            let now = clock.now();
+        while let Some(now) = clock.advance_after_polls(0.01, run.processes(), || run.stopped()) {
             while next < plan.len() && plan[next].0 <= now {
                 h.poison(plan[next].1);
                 next += 1;
             }
-            std::thread::yield_now();
         }
     }
 

@@ -200,13 +200,13 @@ mod tests {
         (run, clock)
     }
 
-    /// Advance the test clock while the worker threads spin, until the run
-    /// stops. No wall-clock timing is asserted.
+    /// Advance the test clock each time every worker thread has read it,
+    /// until the run stops. No wall-clock timing is asserted.
     fn drive_virtual(run: &SweepMpRun, clock: &TestClock) {
-        while !run.stopped() {
-            clock.advance(0.01);
-            std::thread::yield_now();
-        }
+        while clock
+            .advance_after_polls(0.01, run.processes(), || run.stopped())
+            .is_some()
+        {}
     }
 
     fn virtual_config(faults: ChannelFaults, target_phases: u64, seed: u64) -> SweepMpConfig {

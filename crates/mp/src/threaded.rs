@@ -216,6 +216,11 @@ impl<C: Process, H: Clone> Run<C, H> {
         self.handle.clone()
     }
 
+    /// Number of process threads.
+    pub fn processes(&self) -> usize {
+        self.threads.len()
+    }
+
     /// Genuine phase advances observed at the root so far.
     pub fn root_phase_advances(&self) -> u64 {
         self.root_advances.load(Ordering::Acquire)

@@ -48,18 +48,16 @@ fn run_sim(s: &Scenario) -> SimMbReport {
 }
 
 /// Drive a spawned threaded run to completion on virtual time, injecting the
-/// scenario's poisons as their virtual instants pass. No sleeps.
+/// scenario's poisons as their virtual instants pass. The clock moves only
+/// after every process thread has read it since its last move. No sleeps.
 fn drive_virtual(run: &MbRun, clock: &TestClock, plan: &[(f64, usize)]) {
     let h = run.handle();
     let mut next = 0;
-    while !run.stopped() {
-        clock.advance(0.01);
-        let now = clock.now();
+    while let Some(now) = clock.advance_after_polls(0.01, run.processes(), || run.stopped()) {
         while next < plan.len() && plan[next].0 <= now {
             h.poison(plan[next].1);
             next += 1;
         }
-        std::thread::yield_now();
     }
 }
 

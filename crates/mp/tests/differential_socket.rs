@@ -41,18 +41,17 @@ fn config_for(s: &Scenario) -> MbConfig {
 }
 
 /// Drive a spawned run to completion on virtual time, injecting the
-/// scenario's poisons as their virtual instants pass. No sleeps.
+/// scenario's poisons as their virtual instants pass. The clock moves only
+/// after every process thread has read it since its last move, so virtual
+/// time cannot outrun threads the machine is not scheduling. No sleeps.
 fn drive_virtual(run: &MbRun, clock: &TestClock, plan: &[(f64, usize)]) {
     let h = run.handle();
     let mut next = 0;
-    while !run.stopped() {
-        clock.advance(0.01);
-        let now = clock.now();
+    while let Some(now) = clock.advance_after_polls(0.01, run.processes(), || run.stopped()) {
         while next < plan.len() && plan[next].0 <= now {
             h.poison(plan[next].1);
             next += 1;
         }
-        std::thread::yield_now();
     }
 }
 
@@ -178,14 +177,15 @@ fn killed_socket_process_is_blamed_in_the_flight_dump() {
     let run = spawn_on(config, endpoints, clock.clone() as Arc<dyn Clock>);
     let h = run.handle();
     while run.root_phase_advances() < 3 {
-        clock.advance(0.01);
-        std::thread::yield_now();
+        clock
+            .advance_after_polls(0.01, run.processes(), || run.stopped())
+            .expect("the run stopped before steady state");
     }
     h.mute(2);
-    while !run.stopped() {
-        clock.advance(0.01);
-        std::thread::yield_now();
-    }
+    while clock
+        .advance_after_polls(0.01, run.processes(), || run.stopped())
+        .is_some()
+    {}
     let report = run.join();
     assert!(!report.reached_target, "{report:?}");
     let dump = report.flight_dump.as_deref().expect("wedged run dumps");

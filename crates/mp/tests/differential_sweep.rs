@@ -131,8 +131,8 @@ fn golden_flight_dump_of_a_muted_tree() {
     assert_eq!(fnv1a(dump.as_bytes()), 0x90e4_ffee_da4c_9ebf);
 }
 
-/// A threaded sweep run on virtual time: the test advances the clock while
-/// the process threads spin. No wall-clock timing is asserted.
+/// A threaded sweep run on virtual time: the test advances the clock each
+/// time every process thread has read it. No wall-clock timing is asserted.
 fn run_threaded(dag: SweepDag, target_phases: u64, step: f64) -> SweepMpReport {
     let config = SweepMpConfig {
         target_phases,
@@ -149,10 +149,10 @@ fn run_threaded(dag: SweepDag, target_phases: u64, step: f64) -> SweepMpReport {
         &mut rng,
     );
     let run = sweep_mp::spawn_on(dag, config, endpoints, clock.clone() as Arc<dyn Clock>);
-    while !run.stopped() {
-        clock.advance(step);
-        std::thread::yield_now();
-    }
+    while clock
+        .advance_after_polls(step, run.processes(), || run.stopped())
+        .is_some()
+    {}
     run.join()
 }
 
