@@ -82,10 +82,10 @@ pub fn measure_family(family: &'static str, n: usize, target_phases: u64) -> Cri
     let positions = dag.num_positions();
     let static_depth = dag.critical_path();
     drop(dag);
-    // Size the ring so a full-fidelity run never evicts: a fault-free phase
-    // commits a handful of transitions per position.
+    // Size the recorder so a full-fidelity run never evicts: a fault-free
+    // phase commits a handful of transitions per position, one lane each.
     let capacity = positions * (target_phases as usize + 2) * 8;
-    let recorder = CausalRecorder::bounded(capacity);
+    let recorder = CausalRecorder::bounded(positions, capacity);
     let (m, _) = measure_phases_causal(
         &PhaseExperiment {
             topology: spec,
@@ -136,7 +136,7 @@ pub fn measure_episode(family: &'static str, n: usize, target_phases: u64) -> Ep
     let spec = spec_for(family, n);
     let positions = spec.build().expect("valid topology").num_positions();
     let capacity = positions * (target_phases as usize + 2) * 16;
-    let recorder = CausalRecorder::bounded(capacity);
+    let recorder = CausalRecorder::bounded(positions, capacity);
     // The latency monitor only tracks recovery windows on an enabled
     // telemetry handle; the episode report needs those windows.
     let (_, episodes) = measure_phases_causal(

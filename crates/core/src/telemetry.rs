@@ -362,7 +362,7 @@ mod tests {
         use ftbarrier_telemetry::CausalRecorder;
 
         let tele = Telemetry::recording(TimeDomain::Virtual);
-        let recorder = CausalRecorder::bounded(1 << 18);
+        let recorder = CausalRecorder::bounded(8, 1 << 18);
         let (m, report) = measure_phases_causal(
             &PhaseExperiment {
                 topology: TopologySpec::Tree { n: 8, arity: 2 },
@@ -412,8 +412,11 @@ mod tests {
             ..Default::default()
         };
         let plain = measure_phases_with_telemetry(&exp, &Telemetry::off());
-        let (armed, _) =
-            measure_phases_causal(&exp, &Telemetry::off(), &CausalRecorder::bounded(1 << 18));
+        let (armed, _) = measure_phases_causal(
+            &exp,
+            &Telemetry::off(),
+            &CausalRecorder::bounded(6, 1 << 18),
+        );
         assert_eq!(plain, armed, "arming the recorder changed the run");
     }
 

@@ -140,7 +140,7 @@ pub fn run_classic_causal(
 ) -> (RunRecord<PosState>, String) {
     let program =
         SweepBarrier::new(spec.build().unwrap(), 8).with_costs(Time::new(0.02), Time::new(1.0));
-    let recorder = CausalRecorder::bounded(CAUSAL_CAPACITY);
+    let recorder = CausalRecorder::bounded(program.dag().num_positions(), CAUSAL_CAPACITY);
     let mut cmon = CausalMonitor::from_protocol(&program, recorder.clone())
         .with_phase(Box::new(|s: &PosState| Some(s.ph)));
     let mut engine = Engine::new(&program, seed);
@@ -189,7 +189,7 @@ pub fn run_dense_causal(
 ) -> (Vec<PosState>, [u64; 3], String) {
     let program =
         SweepBarrier::new(spec.build().unwrap(), 8).with_costs(Time::new(0.02), Time::new(1.0));
-    let recorder = CausalRecorder::bounded(CAUSAL_CAPACITY);
+    let recorder = CausalRecorder::bounded(program.dag().num_positions(), CAUSAL_CAPACITY);
     let mut cmon = CausalMonitor::from_protocol(&program, recorder.clone())
         .with_phase(Box::new(|s: &PosState| Some(s.ph)));
     let mut engine = DenseEngine::new(&program, seed).with_shards(4);

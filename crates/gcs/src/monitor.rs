@@ -18,7 +18,7 @@ pub trait Monitor<S> {
         now: Time,
         pid: Pid,
         action: ActionId,
-        name: &str,
+        name: &'static str,
         old: &S,
         new: &S,
         global: &[S],
@@ -52,7 +52,7 @@ impl<S> Monitor<S> for NullMonitor {
         _now: Time,
         _pid: Pid,
         _action: ActionId,
-        _name: &str,
+        _name: &'static str,
         _old: &S,
         _new: &S,
         _global: &[S],
@@ -94,7 +94,7 @@ impl<'a, S> Monitor<S> for MonitorSet<'a, S> {
         now: Time,
         pid: Pid,
         action: ActionId,
-        name: &str,
+        name: &'static str,
         old: &S,
         new: &S,
         global: &[S],
@@ -130,7 +130,7 @@ mod tests {
             _now: Time,
             _pid: Pid,
             _action: ActionId,
-            _name: &str,
+            _name: &'static str,
             _old: &u64,
             _new: &u64,
             _global: &[u64],

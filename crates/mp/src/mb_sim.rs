@@ -54,7 +54,7 @@
 
 use crate::channel::Delivery;
 use crate::proc::{pump, sn_domain, try_sn_domain, CpEvent, MbCore, Process, Resend, StateMsg};
-use crate::simnet::{LinkConfig, NetStats, SimNet};
+use crate::simnet::{event_key, key_time, LinkConfig, NetStats, SimNet};
 use crate::telemetry::replay_segments;
 use crate::transport::Endpoint;
 use ftbarrier_core::spec::Violation;
@@ -177,7 +177,8 @@ pub struct SimMbConfig {
     /// detection, splice/graft repair, and epoch-stamped messages.
     pub churn: Option<ChurnConfig>,
     /// Capacity of the always-on causal flight recorder (recent events
-    /// kept per run; older ones are evicted and counted). A pure observer:
+    /// kept per run, shared out evenly among the processes' lanes; older
+    /// ones are evicted and counted). A pure observer:
     /// the trace stays byte-identical whatever the capacity.
     pub flight_capacity: usize,
 }
@@ -428,7 +429,7 @@ struct Driver {
     cores: Vec<MbCore>,
     eps: Vec<SimEndpoint>,
     net: Rc<RefCell<SimNet<WireMsg>>>,
-    ctl: BinaryHeap<Reverse<(Time, u64, Ctl)>>,
+    ctl: BinaryHeap<Reverse<(u128, Ctl)>>,
     ctl_seq: u64,
     now: Time,
     alive: Vec<bool>,
@@ -466,7 +467,8 @@ impl Driver {
     fn schedule(&mut self, at: f64, ev: Ctl) {
         assert!(at.is_finite() && at >= 0.0, "fault plan time {at} invalid");
         self.ctl_seq += 1;
-        self.ctl.push(Reverse((Time::new(at), self.ctl_seq, ev)));
+        self.ctl
+            .push(Reverse((event_key(Time::new(at), self.ctl_seq), ev)));
     }
 
     /// Publish `pid`'s changed state and restart its resend schedule.
@@ -867,9 +869,9 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
 
     let mut rng = SimRng::seed_from_u64(cfg.seed);
     let seq = Arc::new(AtomicU64::new(0));
-    // The always-on flight recorder, shared by every core so the ring holds
-    // the run's events in global commit order.
-    let recorder = CausalRecorder::bounded(cfg.flight_capacity);
+    // The always-on flight recorder, one lane per core; its snapshot merges
+    // the lanes back into the run's causal order.
+    let recorder = CausalRecorder::bounded(n, cfg.flight_capacity);
     let cores: Vec<MbCore> = (0..n)
         .map(|pid| {
             let mut core = MbCore::new(pid, cfg.n_phases, l, rng.next_u64(), Arc::clone(&seq));
@@ -983,14 +985,14 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
     let mut touched = Vec::new();
     while !reached {
         // A superseded resend timer is no scheduling point: drop it unseen.
-        while let Some(&Reverse((_, _, Ctl::Resend { pid, gen }))) = d.ctl.peek() {
+        while let Some(&Reverse((_, Ctl::Resend { pid, gen }))) = d.ctl.peek() {
             if d.resend[pid].is_live(gen) {
                 break;
             }
             d.ctl.pop();
         }
         let t_net = d.net.borrow().next_event_time();
-        let t_ctl = d.ctl.peek().map(|Reverse((t, _, _))| *t);
+        let t_ctl = d.ctl.peek().map(|&Reverse((key, _))| key_time(key));
         // Deliveries win ties against control events.
         let (t, is_net) = match (t_net, t_ctl) {
             (None, None) => {
@@ -1016,7 +1018,7 @@ pub fn run_with_telemetry(cfg: SimMbConfig, telemetry: &Telemetry) -> SimMbRepor
         let ctl_ev = if is_net {
             None
         } else {
-            let Reverse((_, _, ev)) = d.ctl.pop().expect("peeked");
+            let Reverse((_, ev)) = d.ctl.pop().expect("peeked");
             Some(ev)
         };
         // The membership check is bookkept separately so the event count

@@ -10,12 +10,13 @@
 //!
 //! Event model: `send` stamps each surviving copy of the message with a
 //! delivery time `now + latency` and pushes it on one global queue keyed
-//! `(Time, seq)` with `seq` a monotone counter, so the delivery order is a
-//! pure function of the seed — no hashing, no wall clock. The driver
+//! `(Time, seq)` with `seq` a monotone counter, packed into one integer
+//! (the message waits in a slab beside the queue), so the delivery order
+//! is a pure function of the seed — no hashing, no wall clock. The driver
 //! alternates between `next_event_time` and `advance_to`, which moves due
 //! messages into per-link inboxes in deterministic order. Once the queue,
-//! the inboxes and the driver's `advance_to` buffer have grown to the run's
-//! working size, neither a send nor a delivery allocates.
+//! the slab, the inboxes and the driver's `advance_to` buffer have grown to
+//! the run's working size, neither a send nor a delivery allocates.
 
 use crate::channel::{ChannelFaults, Delivery};
 use ftbarrier_gcs::{SimRng, Time};
@@ -101,12 +102,24 @@ struct Link<T> {
     inbox: VecDeque<(Delivery<T>, Option<EventId>)>,
 }
 
+/// A queue key ordering events by time, then by a monotone sequence number:
+/// `time bits << 64 | seq`. A [`Time`] is finite and non-negative, so its
+/// bits order like its value, and one integer compare orders two events.
+pub(crate) fn event_key(at: Time, seq: u64) -> u128 {
+    // `+ 0.0` turns a -0.0, which `Time::new` admits, into the 0.0 whose
+    // bits order first.
+    u128::from((at.as_f64() + 0.0).to_bits()) << 64 | u128::from(seq)
+}
+
+/// The time of an [`event_key`].
+pub(crate) fn key_time(key: u128) -> Time {
+    Time::new(f64::from_bits((key >> 64) as u64))
+}
+
 struct InFlight<T> {
-    at: Time,
-    seq: u64,
     link: usize,
     /// When the message entered the queue — for delivery-latency telemetry
-    /// only; not part of the `(at, seq)` event order.
+    /// only; not part of the event order.
     sent_at: Time,
     delivery: Delivery<T>,
     /// The sender's last causal event at send time — rides every fault
@@ -115,28 +128,14 @@ struct InFlight<T> {
     tag: Option<EventId>,
 }
 
-// Ordering for the event queue: earliest (time, seq) first via Reverse.
-impl<T> PartialEq for InFlight<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for InFlight<T> {}
-impl<T> PartialOrd for InFlight<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for InFlight<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// The simulated network: links, one event queue, one seed.
 pub struct SimNet<T> {
     links: Vec<Link<T>>,
-    queue: BinaryHeap<Reverse<InFlight<T>>>,
+    /// `(event_key(at, seq), slot)` of every message in flight.
+    queue: BinaryHeap<Reverse<(u128, u32)>>,
+    /// The messages in flight, by slot; `free` lists the empty slots.
+    slab: Vec<Option<InFlight<T>>>,
+    free: Vec<u32>,
     seq: u64,
     now: Time,
     stats: NetStats,
@@ -166,6 +165,8 @@ impl<T: Clone> SimNet<T> {
         SimNet {
             links,
             queue: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             now: Time::ZERO,
             stats: NetStats::default(),
@@ -232,14 +233,23 @@ impl<T: Clone> SimNet<T> {
         };
         let at = self.now + Time::new(latency);
         self.seq += 1;
-        self.queue.push(Reverse(InFlight {
-            at,
-            seq: self.seq,
+        let message = Some(InFlight {
             link,
             sent_at: self.now,
             delivery,
             tag,
-        }));
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = message;
+                slot
+            }
+            None => {
+                self.slab.push(message);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.queue.push(Reverse((event_key(at, self.seq), slot)));
         self.update_depth_gauge();
     }
 
@@ -317,7 +327,7 @@ impl<T: Clone> SimNet<T> {
 
     /// Delivery time of the earliest in-flight message, if any.
     pub fn next_event_time(&self) -> Option<Time> {
-        self.queue.peek().map(|Reverse(m)| m.at)
+        self.queue.peek().map(|&Reverse((key, _))| key_time(key))
     }
 
     /// Advance virtual time to `t`, moving every message due at or before
@@ -329,15 +339,24 @@ impl<T: Clone> SimNet<T> {
         assert!(t >= self.now, "time went backwards: {} -> {}", self.now, t);
         self.now = t;
         touched.clear();
-        while self.queue.peek().is_some_and(|Reverse(m)| m.at <= self.now) {
-            let Reverse(m) = self.queue.pop().expect("peeked");
+        let due = event_key(self.now, u64::MAX);
+        while self
+            .queue
+            .peek()
+            .is_some_and(|&Reverse((key, _))| key <= due)
+        {
+            let Reverse((key, slot)) = self.queue.pop().expect("peeked");
+            let m = self.slab[slot as usize]
+                .take()
+                .expect("a queued slot is full");
+            self.free.push(slot);
             self.stats.delivered += 1;
             if self.telemetry.is_enabled() {
                 self.count("net_delivered_total", m.link);
                 self.telemetry.observe(
                     "net_delivery_latency",
                     &[("link", &self.link_labels[m.link])],
-                    (m.at - m.sent_at).as_f64(),
+                    (key_time(key) - m.sent_at).as_f64(),
                 );
             }
             self.links[m.link].inbox.push_back((m.delivery, m.tag));
@@ -366,18 +385,14 @@ impl<T: Clone> SimNet<T> {
     /// way to tell. Returns the number of payloads rewritten.
     pub fn corrupt_in_flight(&mut self, link: usize, f: &mut dyn FnMut(&mut T)) -> usize {
         let mut hit = 0;
-        let drained = std::mem::take(&mut self.queue);
-        let mut rebuilt = BinaryHeap::with_capacity(drained.len());
-        for Reverse(mut m) in drained.into_iter() {
+        for m in self.slab.iter_mut().flatten() {
             if m.link == link {
                 if let Delivery::Ok(payload) = &mut m.delivery {
                     f(payload);
                     hit += 1;
                 }
             }
-            rebuilt.push(Reverse(m));
         }
-        self.queue = rebuilt;
         if let Some((Delivery::Ok(payload), _)) = &mut self.links[link].held {
             f(payload);
             hit += 1;

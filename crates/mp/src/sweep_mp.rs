@@ -40,7 +40,8 @@ pub struct SweepMpConfig {
     /// Per-phase workload, called as `(pid, phase)`.
     pub work: Work,
     /// Capacity of the always-on causal flight recorder (recent events
-    /// kept per run; older ones are evicted and counted).
+    /// kept per run, shared out evenly among the processes' lanes; older
+    /// ones are evicted and counted).
     pub flight_capacity: usize,
 }
 
@@ -128,9 +129,9 @@ pub fn spawn_on<E: Endpoint<PosMsg> + Send + 'static>(
     let links = subscriptions(program.dag());
     let mut rng = SimRng::seed_from_u64(config.seed ^ 0xC0DE);
     let seq = Arc::new(AtomicU64::new(0));
-    // The always-on flight recorder: one bounded ring shared by every
-    // process thread (events interleave in global commit order).
-    let recorder = CausalRecorder::bounded(config.flight_capacity);
+    // The always-on flight recorder: one lane per process thread, so no
+    // two threads share a lock or a cache line to record.
+    let recorder = CausalRecorder::bounded(n, config.flight_capacity);
     let cores = (0..n)
         .map(|pid| {
             let seed = rng.next_u64();

@@ -18,7 +18,7 @@
 
 use crate::channel::Delivery;
 use crate::proc::{pump, Process, Resend};
-use crate::simnet::{LinkConfig, NetStats, SimNet};
+use crate::simnet::{event_key, key_time, LinkConfig, NetStats, SimNet};
 use crate::sweep_core::{subscriptions, PosMsg, SweepCore};
 use crate::telemetry::replay;
 use crate::transport::{Endpoint, TaggedMsg};
@@ -60,7 +60,8 @@ pub struct SweepSimConfig {
     /// an in-flight forger rather than a corrupted process; the next resend
     /// of the true state heals the receivers.
     pub forgeries: Vec<(f64, usize)>,
-    /// Capacity of the always-armed flight recorder ring.
+    /// Capacity of the always-armed flight recorder, shared out evenly
+    /// among the processes' lanes.
     pub flight_capacity: usize,
 }
 
@@ -160,7 +161,7 @@ impl Endpoint<PosMsg> for SimPort<'_> {
 struct Driver {
     cfg: SweepSimConfig,
     net: SimNet<PosMsg>,
-    ctl: BinaryHeap<Reverse<(Time, u64, Ctl)>>,
+    ctl: BinaryHeap<Reverse<(u128, Ctl)>>,
     ctl_seq: u64,
     now: Time,
     cores: Vec<SweepCore>,
@@ -182,7 +183,8 @@ impl Driver {
     fn schedule(&mut self, at: f64, ev: Ctl) {
         assert!(at.is_finite() && at >= 0.0, "fault plan time {at} invalid");
         self.ctl_seq += 1;
-        self.ctl.push(Reverse((Time::new(at), self.ctl_seq, ev)));
+        self.ctl
+            .push(Reverse((event_key(Time::new(at), self.ctl_seq), ev)));
     }
 
     /// Publish `pid`'s changed state and restart its resend schedule.
@@ -318,7 +320,7 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
 
     let net: SimNet<PosMsg> = SimNet::new(vec![cfg.link; links.len()], rng.next_u64());
     let seq = Arc::new(AtomicU64::new(0));
-    let recorder = CausalRecorder::bounded(cfg.flight_capacity);
+    let recorder = CausalRecorder::bounded(n, cfg.flight_capacity);
     let cores = (0..n)
         .map(|pid| {
             SweepCore::new(
@@ -374,14 +376,14 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
     let mut touched = Vec::new();
     while !reached {
         // A superseded resend timer is no scheduling point: drop it unseen.
-        while let Some(&Reverse((_, _, Ctl::Resend { pid, gen }))) = d.ctl.peek() {
+        while let Some(&Reverse((_, Ctl::Resend { pid, gen }))) = d.ctl.peek() {
             if d.resend[pid].is_live(gen) {
                 break;
             }
             d.ctl.pop();
         }
         let t_net = d.net.next_event_time();
-        let t_ctl = d.ctl.peek().map(|Reverse((t, _, _))| *t);
+        let t_ctl = d.ctl.peek().map(|&Reverse((key, _))| key_time(key));
         // Deliveries win ties against control events.
         let (t, is_net) = match (t_net, t_ctl) {
             (None, None) => {
@@ -401,7 +403,7 @@ pub fn run(dag: SweepDag, cfg: SweepSimConfig) -> SweepSimReport {
         let ctl_ev = if is_net {
             None
         } else {
-            let Reverse((_, _, ev)) = d.ctl.pop().expect("peeked");
+            let Reverse((_, ev)) = d.ctl.pop().expect("peeked");
             Some(ev)
         };
         d.net.advance_to(t, &mut touched);
@@ -577,6 +579,45 @@ mod tests {
         );
         assert!(ok.reached_target);
         assert!(ok.flight_dump.is_none());
+    }
+
+    /// One lane per pid: a fail-stopped process's last events outlive a
+    /// wedge long enough for every live process to wrap its own lane (one
+    /// ring shared by every pid evicted them), and blame still lands on it.
+    #[test]
+    fn a_muted_process_keeps_its_last_events_while_live_lanes_wrap() {
+        let muted = 5;
+        let report = run(
+            SweepDag::tree(8, 2).unwrap(),
+            SweepSimConfig {
+                target_phases: 50,
+                max_time: 60.0,
+                mutes: vec![(2.0, muted)],
+                // Eight events per lane.
+                flight_capacity: 64,
+                ..Default::default()
+            },
+        );
+        let text = report.flight_dump.expect("wedged run must dump");
+        let dump = ftbarrier_telemetry::FlightDump::parse(&text).expect("dump parses");
+        dump.replay().expect("dump replays");
+        let kept = |pid: usize| -> Vec<_> {
+            let pid = pid as u32;
+            dump.graph
+                .events
+                .iter()
+                .filter(|e| e.id.pid == pid)
+                .collect()
+        };
+        for pid in (0..8).filter(|&pid| pid != muted) {
+            let events = kept(pid);
+            assert_eq!(events.len(), 8, "p{pid}'s lane is full");
+            assert!(events[0].at > 2.0, "p{pid}'s lane wrapped after the mute");
+        }
+        let last = kept(muted);
+        assert_eq!(last.len(), 8, "the muted lane kept its last events");
+        assert_eq!(last[7].label, "fault:stop");
+        assert_eq!(dump.blamed, Some(muted as u32));
     }
 
     #[test]

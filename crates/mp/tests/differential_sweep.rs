@@ -22,6 +22,7 @@ use ftbarrier_mp::sweep_mp::{self, SweepMpConfig, SweepMpReport};
 use ftbarrier_mp::sweep_sim::{self, SweepSimConfig, SweepSimReport};
 use ftbarrier_mp::{channel_mesh, subscriptions};
 use ftbarrier_mp::{Clock, TestClock};
+use ftbarrier_telemetry::FlightDump;
 use ftbarrier_topology::SweepDag;
 use std::sync::Arc;
 use std::time::Duration;
@@ -128,7 +129,31 @@ fn golden_flight_dump_of_a_muted_tree() {
     assert!(!report.reached_target);
     assert_eq!(fnv1a(report.trace.as_bytes()), 0x3e5a_6ce4_7348_0955);
     let dump = report.flight_dump.expect("wedged run dumps");
+    // The recorded events, in `(pid, seq)` order, as the single-ring
+    // recorder wrote them before the per-pid lanes replaced it; then the
+    // bytes, which also pin the merged order.
+    let parsed = FlightDump::parse(&dump).expect("dump parses");
+    assert_eq!(
+        (parsed.graph.events.len(), events_fnv1a(&parsed)),
+        (831, 0xc535_73c5_d04b_a3c2)
+    );
     assert_eq!(fnv1a(dump.as_bytes()), 0x90e4_ffee_da4c_9ebf);
+}
+
+/// FNV-1a of a dump's events in `(pid, seq)` order: what was recorded,
+/// whichever order a snapshot merged it in.
+fn events_fnv1a(dump: &FlightDump) -> u64 {
+    let mut events: Vec<_> = dump.graph.events.iter().collect();
+    events.sort_by_key(|e| e.id);
+    let text: String = events
+        .iter()
+        .map(|e| {
+            let preds: Vec<_> = e.preds.iter().map(|p| (p.pid, p.seq)).collect();
+            let (pid, seq, at) = (e.id.pid, e.id.seq, e.at.to_bits());
+            format!("{pid} {seq} {at:x} {} {:?} {preds:?}\n", e.label, e.phase)
+        })
+        .collect();
+    fnv1a(text.as_bytes())
 }
 
 /// A threaded sweep run on virtual time: the test advances the clock each

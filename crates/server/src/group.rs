@@ -44,7 +44,8 @@ pub struct GroupConfig {
     /// silent-Byzantine. Bounds how long correct members wait on a peer
     /// that sends valid frames but never `Arrive`.
     pub stall_splice_timeout: f64,
-    /// Capacity of the group's causal flight recorder.
+    /// Capacity of the group's causal flight recorder, shared out evenly
+    /// among the members' lanes.
     pub flight_capacity: usize,
 }
 
@@ -141,7 +142,7 @@ impl BarrierGroup {
     ) -> BarrierGroup {
         assert!(size >= 2, "a barrier group needs at least 2 members");
         let seq = Arc::new(AtomicU64::new(0));
-        let recorder = CausalRecorder::bounded(cfg.flight_capacity);
+        let recorder = CausalRecorder::bounded(size, cfg.flight_capacity);
         let cores = (0..size)
             .map(|pid| {
                 let mut core = MbCore::new(
@@ -439,6 +440,28 @@ mod tests {
     use ftbarrier_runtime::detector::TestClock;
     use ftbarrier_telemetry::{FlightDump, Telemetry};
 
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// FNV-1a of a dump's events in `(pid, seq)` order: what was recorded,
+    /// whichever order a snapshot merged it in.
+    fn events_fnv1a(dump: &FlightDump) -> u64 {
+        let mut events: Vec<_> = dump.graph.events.iter().collect();
+        events.sort_by_key(|e| e.id);
+        let text: String = events
+            .iter()
+            .map(|e| {
+                let preds: Vec<_> = e.preds.iter().map(|p| (p.pid, p.seq)).collect();
+                let (pid, seq, at) = (e.id.pid, e.id.seq, e.at.to_bits());
+                format!("{pid} {seq} {at:x} {} {:?} {preds:?}\n", e.label, e.phase)
+            })
+            .collect();
+        fnv1a(text.as_bytes())
+    }
+
     fn quick_cfg() -> GroupConfig {
         GroupConfig {
             detector: DetectorConfig {
@@ -581,14 +604,19 @@ mod tests {
             }
         }
         let dump = dump.expect("wedge dump fires after the timeout");
-        // Pure observer: the dump is bit for bit what the recorder wrote
-        // before its storage went allocation-free and the ring view was
-        // cached (golden taken on the parent of that change).
-        let fnv1a = dump.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        assert_eq!((dump.len(), fnv1a), (3551, 0x1079_e691_2f3f_e6ad));
         let parsed = FlightDump::parse(&dump).expect("dump parses");
+        // Pure observer: the recorded events — ids, times, labels, phases
+        // and edges, in `(pid, seq)` order — are what the single-ring
+        // recorder wrote before the per-pid lanes replaced it (golden taken
+        // on the parent of that change). The bytes pin the merged order.
+        assert_eq!(
+            (parsed.graph.events.len(), events_fnv1a(&parsed)),
+            (30, 0x91bb_cd17_b3b7_1901)
+        );
+        assert_eq!(
+            (dump.len(), fnv1a(dump.as_bytes())),
+            (3551, 0x8f56_cc62_18a2_24b9)
+        );
         parsed.replay().expect("dump replays");
         assert_eq!(parsed.program, "server");
         assert_eq!(parsed.kind, "wedge");

@@ -12,9 +12,10 @@
 //!   instants on per-process tracks, stamped with a [`TimeDomain`]
 //!   (virtual simulation time or wall-clock seconds);
 //! - [`causal`]: the happens-before event model — a bounded
-//!   [`CausalRecorder`] ring (the crash flight recorder) whose snapshots
-//!   support measured critical-path extraction, per-pid attribution,
-//!   wedge blame, and replayable `flightrec/v1` dumps;
+//!   [`CausalRecorder`] of per-pid lanes (the crash flight recorder: no
+//!   lock on record or `last`, none shared between pids, zero allocations
+//!   per event) whose snapshots support measured critical-path extraction,
+//!   per-pid attribution, wedge blame, and replayable `flightrec/v1` dumps;
 //! - [`export`]: deterministic renderers to Chrome `trace_event` JSON
 //!   (Perfetto), JSONL structured events, and the Prometheus text
 //!   exposition format;

@@ -18,7 +18,7 @@
 //! unit.
 
 use crate::metrics::MetricsRegistry;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Which clock produced the timestamps of a recording.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,7 +161,7 @@ impl Telemetry {
         let Some(inner) = &self.inner else {
             return TrackId::NONE;
         };
-        let mut g = inner.lock().expect("telemetry poisoned");
+        let mut g = lock(inner);
         if let Some(i) = g.tracks.iter().position(|t| t == name) {
             return TrackId(i as u32);
         }
@@ -187,17 +187,13 @@ impl Telemetry {
             start.is_finite() && end.is_finite() && start >= 0.0 && end >= start,
             "span [{start}, {end}] invalid"
         );
-        inner
-            .lock()
-            .expect("telemetry poisoned")
-            .events
-            .push(TimelineEvent::Span {
-                track,
-                name: name.to_owned(),
-                start,
-                end,
-                args: own_args(args),
-            });
+        lock(inner).events.push(TimelineEvent::Span {
+            track,
+            name: name.to_owned(),
+            start,
+            end,
+            args: own_args(args),
+        });
     }
 
     /// Record a point event on `track`.
@@ -208,55 +204,41 @@ impl Telemetry {
     pub fn instant_with(&self, track: TrackId, name: &str, at: f64, args: &[(&str, &str)]) {
         let Some(inner) = &self.inner else { return };
         assert!(at.is_finite() && at >= 0.0, "instant at {at} invalid");
-        inner
-            .lock()
-            .expect("telemetry poisoned")
-            .events
-            .push(TimelineEvent::Instant {
-                track,
-                name: name.to_owned(),
-                at,
-                args: own_args(args),
-            });
+        lock(inner).events.push(TimelineEvent::Instant {
+            track,
+            name: name.to_owned(),
+            at,
+            args: own_args(args),
+        });
     }
 
     pub fn counter(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
         let Some(inner) = &self.inner else { return };
-        inner
-            .lock()
-            .expect("telemetry poisoned")
-            .metrics
-            .add_counter(name, labels, delta);
+        lock(inner).metrics.add_counter(name, labels, delta);
     }
 
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         let Some(inner) = &self.inner else { return };
-        inner
-            .lock()
-            .expect("telemetry poisoned")
-            .metrics
-            .set_gauge(name, labels, value);
+        lock(inner).metrics.set_gauge(name, labels, value);
     }
 
     /// Record a histogram sample.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         let Some(inner) = &self.inner else { return };
-        inner
-            .lock()
-            .expect("telemetry poisoned")
-            .metrics
-            .observe(name, labels, value);
+        // Checked before locking: a bad sample must not poison the handle
+        // every shard and the metrics thread share.
+        assert!(
+            value.is_finite() && value >= 0.0,
+            "histogram sample must be finite and non-negative, got {value}"
+        );
+        lock(inner).metrics.observe(name, labels, value);
     }
 
     /// Fold a pre-built registry in (counters add, gauges overwrite,
     /// histograms merge) — the bridge from `RunStats`-style aggregates.
     pub fn merge_metrics(&self, registry: &MetricsRegistry) {
         let Some(inner) = &self.inner else { return };
-        inner
-            .lock()
-            .expect("telemetry poisoned")
-            .metrics
-            .merge(registry);
+        lock(inner).metrics.merge(registry);
     }
 
     /// Detach a copy of everything recorded so far.
@@ -269,7 +251,7 @@ impl Telemetry {
                 metrics: MetricsRegistry::new(),
             },
             Some(inner) => {
-                let g = inner.lock().expect("telemetry poisoned");
+                let g = lock(inner);
                 TelemetrySnapshot {
                     domain: g.domain,
                     tracks: g.tracks.clone(),
@@ -281,6 +263,14 @@ impl Telemetry {
     }
 }
 
+/// The registry, even if a thread panicked while holding it. Samples are
+/// validated before the lock is taken, so a panic under it leaves at worst
+/// one update half-applied; every later call, from every shard sharing the
+/// handle, keeps working.
+fn lock(inner: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
+    inner.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn own_args(args: &[(&str, &str)]) -> Vec<(String, String)> {
     args.iter()
         .map(|&(k, v)| (k.to_owned(), v.to_owned()))
@@ -290,6 +280,32 @@ fn own_args(args: &[(&str, &str)]) -> Vec<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_bad_sample_does_not_take_the_handle_down() {
+        let t = Telemetry::recording(TimeDomain::Wall);
+        let bad = t.clone();
+        let died = std::thread::spawn(move || bad.observe("lat", &[], f64::NAN)).join();
+        assert!(died.is_err(), "a NaN sample is refused loudly");
+        // Even a panic while the lock is held does not wedge the handle.
+        let inner = t.inner.clone().unwrap();
+        let held = std::thread::spawn(move || {
+            let _g = inner.lock();
+            panic!("dies holding the registry");
+        })
+        .join();
+        assert!(held.is_err());
+        let other = t.clone();
+        std::thread::spawn(move || {
+            other.counter("served", &[], 2);
+            other.observe("lat", &[], 1.5);
+        })
+        .join()
+        .expect("later calls on another thread still work");
+        let snap = t.snapshot();
+        assert_eq!(snap.metrics.counter("served", &[]), 2);
+        assert_eq!(snap.metrics.histograms.len(), 1);
+    }
 
     #[test]
     fn disabled_handle_records_nothing() {

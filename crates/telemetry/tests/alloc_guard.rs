@@ -1,7 +1,7 @@
 //! The flight recorder's per-event cost contract, as a deterministic count:
-//! recording an event with a `&'static str` label and at most two
-//! predecessors (program order + one delivery) into a full ring allocates
-//! nothing. No timing involved.
+//! once a lane's storage exists, recording into it allocates nothing,
+//! whether the event's predecessors fit inline (program order, plus one
+//! delivery) or spill to the lane's spill ring. No timing involved.
 
 use ftbarrier_telemetry::{CausalRecorder, EventId};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -36,38 +36,35 @@ fn allocations(f: impl FnOnce()) -> u64 {
 }
 
 #[test]
-fn recording_into_a_full_ring_allocates_nothing() {
+fn recording_into_wrapped_lanes_allocates_nothing() {
     assert_eq!(
         allocations(|| drop(Box::new(7u64))),
         1,
         "the counter counts"
     );
 
-    let r = CausalRecorder::bounded(64);
-    let mut tag: Option<EventId> = None;
+    // Eight lanes of eight events each.
+    let r = CausalRecorder::bounded(8, 64);
+    let mut tags: Vec<EventId> = Vec::with_capacity(4);
     let mut step = |i: usize| {
-        // Eight seats; every other event also absorbed one delivery.
-        let deliveries = if i.is_multiple_of(2) {
-            tag.as_slice()
-        } else {
-            &[]
+        // Program order alone, plus one delivery, plus four: 1, 2 and 5
+        // predecessors, the last spilled.
+        let deliveries = match i % 3 {
+            0 => &tags[..0],
+            1 => &tags[..tags.len().min(1)],
+            _ => &tags[..],
         };
-        tag = r.record_next(i % 8, "cp:Ready->Execute", i as f64, Some(3), deliveries);
+        let label = ["cp:Ready->Execute", "fault:detectable"][usize::from(i % 3 == 2)];
+        let tag = r.record_next(i % 8, label, i as f64, Some(3), deliveries);
+        if tags.len() == 4 {
+            tags.remove(0);
+        }
+        tags.extend(tag);
     };
-    (0..100).for_each(&mut step);
-    assert!(r.dropped() > 0, "the ring is full and evicting");
-
-    assert_eq!(allocations(|| (100..10_100).for_each(&mut step)), 0);
-    assert_eq!(r.dropped(), 10_100 - 64);
-
-    // Outside the contract the cost is one allocation, not a cliff: a third
-    // predecessor spills the list, a built label is owned.
-    let ids = [tag.unwrap(), EventId { pid: 9, seq: 1 }];
-    let spilled = allocations(|| {
-        r.record_next(0, "spill", 0.0, None, &ids);
-    });
-    let built = allocations(|| {
-        r.record_next(0, String::from("built"), 0.0, None, &[]);
-    });
-    assert_eq!((spilled, built), (1, 1));
+    // Every lane wraps its slots and its spill ring.
+    (0..1000).for_each(&mut step);
+    assert_eq!(allocations(|| (1000..11_000).for_each(&mut step)), 0);
+    let g = r.snapshot();
+    assert_eq!((g.events.len(), g.dropped), (64, 11_000 - 64));
+    assert!(g.events.iter().any(|e| e.preds.len() == 5));
 }
