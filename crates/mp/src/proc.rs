@@ -10,9 +10,9 @@
 //! * the threaded driver (`threaded.rs`): one core per `std::thread`, real
 //!   `std::sync::mpsc` channels or sockets, a [`Clock`](crate::Clock) for
 //!   resend and deadline timing;
-//! * the deterministic drivers (`mb_sim.rs`, `sweep_sim.rs`): all cores
-//!   stepped by a discrete-event loop over the simulated network, on virtual
-//!   time.
+//! * the deterministic driver (`sim.rs`, under `mb_sim.rs` and
+//!   `sweep_sim.rs`): all cores stepped by one discrete-event loop over the
+//!   simulated network, on virtual time.
 //!
 //! Control-position changes are recorded as [`CpEvent`]s carrying the
 //! caller-supplied virtual time plus a globally ordered sequence number, so
@@ -133,7 +133,8 @@ pub fn cp_label(old: Cp, new: Cp) -> &'static str {
 /// ring, [`SweepCore`](crate::sweep_core::SweepCore) on any sweep topology.
 /// Everything a driver does to a process — feed it deliveries, fire its
 /// guards, run its phase body, publish its state, mark its liveness — goes
-/// through here, so one threaded loop and one [`pump`] serve both programs.
+/// through here, so one threaded loop, one simulated loop and one [`pump`]
+/// serve both programs.
 pub trait Process {
     /// What this process gossips through its [`Endpoint`].
     type Msg;

@@ -5,7 +5,7 @@
 //!
 //! Telemetry is recorded *after* the run from the same event log the oracle
 //! replays, so enabling it cannot perturb execution: the simulated backend
-//! keeps an identical run log ([`TraceLog`](crate::mb_sim::TraceLog)), and
+//! keeps an identical run log ([`TraceLog`](crate::sim::TraceLog)), and
 //! the threaded backend's protocol path is untouched.
 
 use crate::proc::CpEvent;

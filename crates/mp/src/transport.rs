@@ -12,9 +12,10 @@
 //! * [`ChannelEndpoint`] — real `std::sync::mpsc` channels with send-time
 //!   fault injection ([`faulty_channel`]), one OS thread per process, wired
 //!   by [`channel_mesh`] ([`channel_ring`] is its ring case);
-//! * `mb_sim::SimEndpoint` and `sweep_sim`'s port — handles into the
-//!   discrete-event simulated network, single-threaded and byte-for-byte
-//!   replayable from a seed;
+//! * the simulated driver's port ([`crate::sim`]) — one type for both
+//!   programs: it stages a burst, sends it link by link into the
+//!   discrete-event simulated network and reads the one link its driver
+//!   names, single-threaded and byte-for-byte replayable from a seed;
 //! * [`crate::socket::SocketEndpoint`] — length-prefixed TCP between OS
 //!   processes.
 //!
