@@ -1,17 +1,33 @@
-//! Faulty channels: unidirectional links that lose, duplicate, reorder, and
-//! detectably corrupt messages, with configurable per-message probabilities.
+//! The link fault model: the one place every message-passing transport —
+//! the threaded channels ([`crate::transport`]), the simulated network
+//! ([`crate::simnet`]) and the TCP sockets ([`crate::socket`]) — decides
+//! what happens to a message it sends.
 //!
 //! These are the §1 "communication faults" — all *detectable* per §2's
 //! classification (a corrupted message carries a poisoned checksum, so the
 //! receiver sees [`Delivery::Corrupted`] and can discard it; a lost message
 //! is simply absent). Program MB's gossip-with-retransmission makes all of
 //! them equivalent to transient loss.
+//!
+//! A `FaultyLink` makes four draws from its seeded RNG on every send, in
+//! this order, whatever the earlier ones decided:
+//!
+//! 1. **loss** — the message is dropped, and the other three draws are void;
+//! 2. **corruption** — the message arrives flagged [`Delivery::Corrupted`];
+//! 3. **duplication** — a second copy follows;
+//! 4. **reorder** — the message is parked in the link's one hold slot, if
+//!    it is empty, and released after the next send's copy (a swap of
+//!    adjacent messages) or by a flush when the link goes quiet.
+//!
+//! The surviving copies come back in a fixed order: this message, then the
+//! released held one, then the duplicate. A transport only puts them on its
+//! medium, so one seed gives every transport the same fault stream.
 
 use ftbarrier_gcs::SimRng;
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Per-message fault probabilities of a link.
+/// Per-message fault probabilities of a link. Building a link on any
+/// transport panics, naming the field, on a probability outside `[0, 1]`
+/// or NaN (`ChannelFaults.loss probability NaN out of range`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelFaults {
     /// Message silently dropped.
@@ -52,7 +68,7 @@ impl ChannelFaults {
         ] {
             assert!(
                 (0.0..=1.0).contains(&p),
-                "{name} probability {p} out of range"
+                "ChannelFaults.{name} probability {p} out of range"
             );
         }
     }
@@ -75,114 +91,117 @@ impl<T> Delivery<T> {
             Delivery::Corrupted => None,
         }
     }
-}
 
-/// Sending half of a faulty link. Fault decisions are made at send time from
-/// a seeded RNG, so a single-threaded test is fully reproducible.
-pub struct FaultySender<T> {
-    tx: Sender<Delivery<T>>,
-    faults: ChannelFaults,
-    rng: Mutex<SimRng>,
-    /// A message held back for reordering (swapped with the next send).
-    held: Mutex<Option<Delivery<T>>>,
-}
-
-/// Receiving half of a faulty link.
-pub struct FaultyReceiver<T> {
-    rx: Receiver<Delivery<T>>,
-}
-
-/// Lock `m`, taking the guard even if a thread panicked while holding it:
-/// a panic elsewhere must not turn a send into a second panic.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Create a faulty link.
-pub fn faulty_channel<T: Clone>(
-    faults: ChannelFaults,
-    seed: u64,
-) -> (FaultySender<T>, FaultyReceiver<T>) {
-    faults.validate();
-    let (tx, rx) = mpsc::channel();
-    (
-        FaultySender {
-            tx,
-            faults,
-            rng: Mutex::new(SimRng::seed_from_u64(seed)),
-            held: Mutex::new(None),
-        },
-        FaultyReceiver { rx },
-    )
-}
-
-impl<T: Clone> FaultySender<T> {
-    /// Send a message through the fault model. Returns `false` if the
-    /// receiver is gone.
-    pub fn send(&self, msg: T) -> bool {
-        let mut rng = lock(&self.rng);
-        if rng.chance(self.faults.loss) {
-            return true; // silently dropped
-        }
-        let delivery = if rng.chance(self.faults.corruption) {
+    /// What the receiver sees of a `(message, corrupted)` copy from
+    /// [`FaultyLink::send`].
+    pub(crate) fn of((msg, corrupted): (T, bool)) -> Delivery<T> {
+        if corrupted {
             Delivery::Corrupted
         } else {
             Delivery::Ok(msg)
-        };
-        let duplicate = rng.chance(self.faults.duplication);
-        let hold = rng.chance(self.faults.reorder);
-        drop(rng);
-
-        // Reordering: park this message; release any previously held one
-        // after the next send (a swap of adjacent messages).
-        let mut to_send: Vec<Delivery<T>> = Vec::with_capacity(3);
-        {
-            let mut held = lock(&self.held);
-            if hold && held.is_none() {
-                *held = Some(delivery.clone());
-            } else {
-                to_send.push(delivery.clone());
-                if let Some(prev) = held.take() {
-                    to_send.push(prev);
-                }
-            }
         }
-        if duplicate {
-            to_send.push(delivery);
-        }
-        for d in to_send {
-            if self.tx.send(d).is_err() {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Flush a held (reordered) message — call when a link goes quiet.
-    pub fn flush(&self) -> bool {
-        if let Some(prev) = lock(&self.held).take() {
-            return self.tx.send(prev).is_ok();
-        }
-        true
     }
 }
 
-impl<T> FaultyReceiver<T> {
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Delivery<T>> {
-        match self.rx.try_recv() {
-            Ok(d) => Some(d),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
+/// What one [`FaultyLink::send`] did. The flags after `lost` are false for
+/// a lost message.
+pub(crate) struct Sent<T> {
+    pub lost: bool,
+    pub corrupted: bool,
+    pub duplicated: bool,
+    /// The message went into the empty hold slot.
+    pub held: bool,
+    /// The `(message, corrupted)` copies to put on the medium, in order:
+    /// this message, the released held one, the duplicate.
+    copies: [Option<(T, bool)>; 3],
+}
+
+impl<T> Sent<T> {
+    /// Hand each copy to `put`, in order.
+    #[inline(always)]
+    pub(crate) fn for_each(self, mut put: impl FnMut((T, bool))) {
+        // Unrolled by hand: a loop over the array made the simulated
+        // network's whole send path about 10% slower.
+        let [first, released, duplicate] = self.copies;
+        if let Some(copy) = first {
+            put(copy);
+        }
+        if let Some(copy) = released {
+            put(copy);
+        }
+        if let Some(copy) = duplicate {
+            put(copy);
+        }
+    }
+}
+
+/// The send-time fault model of one unidirectional link: its
+/// probabilities, its RNG and its hold slot.
+pub(crate) struct FaultyLink<T> {
+    faults: ChannelFaults,
+    rng: SimRng,
+    /// A copy held back for reordering (swapped with the next send).
+    held: Option<(T, bool)>,
+}
+
+impl<T: Clone> FaultyLink<T> {
+    /// Panics, naming the field, on a probability outside `[0, 1]` or NaN.
+    pub(crate) fn new(faults: ChannelFaults, rng: SimRng) -> FaultyLink<T> {
+        faults.validate();
+        FaultyLink {
+            faults,
+            rng,
+            held: None,
         }
     }
 
-    /// Drain everything currently queued.
-    pub fn drain(&self) -> Vec<Delivery<T>> {
-        let mut out = Vec::new();
-        while let Some(d) = self.try_recv() {
-            out.push(d);
+    /// Draw the faults of one send of `msg`.
+    #[inline(always)]
+    pub(crate) fn send(&mut self, msg: T) -> Sent<T> {
+        let f = self.faults;
+        let [lost, corrupted, duplicated, hold] =
+            [f.loss, f.corruption, f.duplication, f.reorder].map(|p| self.rng.chance(p));
+        if lost {
+            return Sent {
+                lost,
+                corrupted: false,
+                duplicated: false,
+                held: false,
+                copies: [None, None, None],
+            };
         }
-        out
+        let copy = (msg, corrupted);
+        let dup = duplicated.then(|| copy.clone());
+        let held = hold && self.held.is_none();
+        let (first, released) = if held {
+            self.held = Some(copy);
+            (None, None)
+        } else {
+            (Some(copy), self.held.take())
+        };
+        Sent {
+            lost,
+            corrupted,
+            duplicated,
+            held,
+            copies: [first, released, dup],
+        }
+    }
+
+    /// Empty the hold slot — call when the link goes quiet, and put the
+    /// copy it returns on the medium (or drop it, for a cut link).
+    pub(crate) fn flush(&mut self) -> Option<(T, bool)> {
+        self.held.take()
+    }
+
+    /// The copy in the hold slot, still on the sender's side of the link.
+    pub(crate) fn held_mut(&mut self) -> Option<&mut (T, bool)> {
+        self.held.as_mut()
+    }
+
+    /// The link's RNG, for a transport's own draws after the fault draws.
+    pub(crate) fn rng(&mut self) -> &mut SimRng {
+        &mut self.rng
     }
 }
 
@@ -190,29 +209,45 @@ impl<T> FaultyReceiver<T> {
 mod tests {
     use super::*;
 
+    fn link(faults: ChannelFaults, seed: u64) -> FaultyLink<u32> {
+        FaultyLink::new(faults, SimRng::seed_from_u64(seed))
+    }
+
+    /// What the receiver sees of one send, in order.
+    fn send(link: &mut FaultyLink<u32>, msg: u32) -> Vec<Delivery<u32>> {
+        let mut got = Vec::new();
+        link.send(msg).for_each(|copy| got.push(Delivery::of(copy)));
+        got
+    }
+
+    fn flush(link: &mut FaultyLink<u32>) -> Vec<Delivery<u32>> {
+        link.flush().into_iter().map(Delivery::of).collect()
+    }
+
+    /// Send `msgs`, then flush: everything the receiver sees, in order.
+    fn run(link: &mut FaultyLink<u32>, msgs: impl IntoIterator<Item = u32>) -> Vec<Delivery<u32>> {
+        let mut got: Vec<_> = msgs.into_iter().flat_map(|m| send(link, m)).collect();
+        got.extend(flush(link));
+        got
+    }
+
+    fn intact(got: Vec<Delivery<u32>>) -> Vec<u32> {
+        got.into_iter().filter_map(Delivery::ok).collect()
+    }
+
     #[test]
     fn perfect_link_delivers_in_order() {
-        let (tx, rx) = faulty_channel::<u32>(ChannelFaults::NONE, 1);
-        for i in 0..100 {
-            assert!(tx.send(i));
-        }
-        let got: Vec<u32> = rx.drain().into_iter().filter_map(Delivery::ok).collect();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
+        let got = run(&mut link(ChannelFaults::NONE, 1), 0..100);
+        assert_eq!(intact(got), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn loss_rate_is_respected() {
-        let (tx, rx) = faulty_channel::<u32>(
-            ChannelFaults {
-                loss: 0.5,
-                ..ChannelFaults::NONE
-            },
-            7,
-        );
-        for i in 0..10_000 {
-            tx.send(i);
-        }
-        let got = rx.drain().len();
+        let faults = ChannelFaults {
+            loss: 0.5,
+            ..ChannelFaults::NONE
+        };
+        let got = run(&mut link(faults, 7), 0..10_000).len();
         assert!(
             (4000..6000).contains(&got),
             "got {got} of 10000 at 50% loss"
@@ -221,131 +256,97 @@ mod tests {
 
     #[test]
     fn duplication_inflates_count() {
-        let (tx, rx) = faulty_channel::<u32>(
-            ChannelFaults {
-                duplication: 0.5,
-                ..ChannelFaults::NONE
-            },
-            7,
-        );
-        for i in 0..10_000 {
-            tx.send(i);
-        }
-        let got = rx.drain().len();
+        let faults = ChannelFaults {
+            duplication: 0.5,
+            ..ChannelFaults::NONE
+        };
+        let got = run(&mut link(faults, 7), 0..10_000).len();
         assert!((14_000..16_000).contains(&got), "got {got}");
     }
 
     #[test]
     fn corruption_is_detectable() {
-        let (tx, rx) = faulty_channel::<u32>(
-            ChannelFaults {
-                corruption: 1.0,
-                ..ChannelFaults::NONE
-            },
-            7,
-        );
-        tx.send(42);
-        assert_eq!(rx.try_recv(), Some(Delivery::Corrupted));
-        assert_eq!(rx.try_recv(), None);
+        let faults = ChannelFaults {
+            corruption: 1.0,
+            ..ChannelFaults::NONE
+        };
+        let mut l = link(faults, 7);
+        assert_eq!(send(&mut l, 42), vec![Delivery::Corrupted]);
+        assert_eq!(flush(&mut l), vec![]);
     }
 
     #[test]
     fn reorder_swaps_adjacent_messages() {
-        let (tx, rx) = faulty_channel::<u32>(
-            ChannelFaults {
-                reorder: 1.0,
-                ..ChannelFaults::NONE
-            },
-            7,
-        );
+        let faults = ChannelFaults {
+            reorder: 1.0,
+            ..ChannelFaults::NONE
+        };
         // With reorder=1, the first message is held; the second send parks
         // nothing new (held is occupied) and releases the first afterwards.
-        tx.send(1);
-        tx.send(2);
-        tx.flush();
-        let got: Vec<u32> = rx.drain().into_iter().filter_map(Delivery::ok).collect();
-        assert_eq!(got, vec![2, 1]);
+        assert_eq!(intact(run(&mut link(faults, 7), [1, 2])), vec![2, 1]);
     }
 
     #[test]
     fn flush_releases_held_message() {
-        let (tx, rx) = faulty_channel::<u32>(
-            ChannelFaults {
-                reorder: 1.0,
-                ..ChannelFaults::NONE
-            },
-            7,
-        );
-        tx.send(9);
-        assert_eq!(rx.try_recv(), None, "message is parked");
-        tx.flush();
-        assert_eq!(rx.try_recv(), Some(Delivery::Ok(9)));
+        let faults = ChannelFaults {
+            reorder: 1.0,
+            ..ChannelFaults::NONE
+        };
+        let mut l = link(faults, 7);
+        assert_eq!(send(&mut l, 9), vec![], "message is parked");
+        assert_eq!(flush(&mut l), vec![Delivery::Ok(9)]);
     }
 
     #[test]
     fn all_messages_conserved_without_loss() {
         // dup + corruption + reorder but no loss: every send yields >= 1
         // delivery.
-        let (tx, rx) = faulty_channel::<u32>(
-            ChannelFaults {
-                loss: 0.0,
-                duplication: 0.3,
-                corruption: 0.3,
-                reorder: 0.3,
-            },
-            11,
-        );
+        let faults = ChannelFaults {
+            loss: 0.0,
+            duplication: 0.3,
+            corruption: 0.3,
+            reorder: 0.3,
+        };
         let n = 5000;
-        for i in 0..n {
-            tx.send(i);
-        }
-        tx.flush();
-        let got = rx.drain();
+        let got = run(&mut link(faults, 11), 0..n);
         assert!(got.len() >= n as usize, "got {} < {n}", got.len());
     }
 
     #[test]
     fn flush_on_quiet_link_with_nothing_held_is_a_no_op() {
-        let (tx, rx) = faulty_channel::<u32>(
-            ChannelFaults {
-                reorder: 1.0,
-                ..ChannelFaults::NONE
-            },
-            7,
+        let faults = ChannelFaults {
+            reorder: 1.0,
+            ..ChannelFaults::NONE
+        };
+        let mut l = link(faults, 7);
+        // Nothing held yet: flush delivers nothing.
+        assert_eq!(flush(&mut l), vec![]);
+        assert_eq!(send(&mut l, 9), vec![]);
+        assert_eq!(
+            flush(&mut l),
+            vec![Delivery::Ok(9)],
+            "flush releases the held message"
         );
-        // Nothing held yet: flush must succeed and deliver nothing.
-        assert!(tx.flush());
-        assert_eq!(rx.try_recv(), None);
-        tx.send(9);
-        assert!(tx.flush(), "flush releases the held message");
-        assert_eq!(rx.try_recv(), Some(Delivery::Ok(9)));
         // Held slot is now empty again: flushing twice is harmless.
-        assert!(tx.flush());
-        assert_eq!(rx.try_recv(), None);
+        assert_eq!(flush(&mut l), vec![]);
     }
 
     #[test]
     fn duplication_and_reorder_can_hit_the_same_message() {
-        let (tx, rx) = faulty_channel::<u32>(
-            ChannelFaults {
-                duplication: 1.0,
-                reorder: 1.0,
-                ..ChannelFaults::NONE
-            },
-            7,
-        );
+        let faults = ChannelFaults {
+            duplication: 1.0,
+            reorder: 1.0,
+            ..ChannelFaults::NONE
+        };
+        let mut l = link(faults, 7);
         // send(1): the original is parked for reordering but its duplicate
         // goes out immediately — the receiver sees a copy of a message that
         // is still "in flight".
-        tx.send(1);
-        assert_eq!(rx.drain(), vec![Delivery::Ok(1)]);
+        assert_eq!(send(&mut l, 1), vec![Delivery::Ok(1)]);
         // send(2): held slot is occupied, so 2 goes out, releases the parked
         // 1 behind it, and 2's duplicate follows.
-        tx.send(2);
-        let got: Vec<u32> = rx.drain().into_iter().filter_map(Delivery::ok).collect();
-        assert_eq!(got, vec![2, 1, 2]);
-        assert!(tx.flush());
-        assert_eq!(rx.try_recv(), None, "nothing left in the held slot");
+        assert_eq!(intact(send(&mut l, 2)), vec![2, 1, 2]);
+        assert_eq!(flush(&mut l), vec![], "nothing left in the held slot");
     }
 
     #[test]
@@ -356,17 +357,11 @@ mod tests {
         // no payload is ever altered in flight.
         let p = 0.3;
         let n: u32 = 10_000;
-        let (tx, rx) = faulty_channel::<u32>(
-            ChannelFaults {
-                corruption: p,
-                ..ChannelFaults::NONE
-            },
-            0xC0FFEE,
-        );
-        for i in 0..n {
-            tx.send(i);
-        }
-        let got = rx.drain();
+        let faults = ChannelFaults {
+            corruption: p,
+            ..ChannelFaults::NONE
+        };
+        let got = run(&mut link(faults, 0xC0FFEE), 0..n);
         assert_eq!(got.len(), n as usize, "no loss, dup, or reorder configured");
         let mut corrupted = 0u32;
         let mut expected = 0u32;
@@ -393,9 +388,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "ChannelFaults.loss probability 1.5 out of range")]
     fn rejects_bad_probability() {
-        let _ = faulty_channel::<u32>(
+        let _ = link(
             ChannelFaults {
                 loss: 1.5,
                 ..ChannelFaults::NONE

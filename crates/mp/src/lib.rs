@@ -22,8 +22,7 @@
 //! | simulated network ([`sim`], [`simnet`]) | [`mb_sim`] | [`sweep_sim`] |
 //! | TCP sockets ([`socket`]) | [`mb::spawn_on`] over a [`socket_ring`] | — (no socket mesh yet) |
 //!
-//! * threaded — real `std::thread` processes connected by links that lose,
-//!   duplicate, reorder, and detectably corrupt messages, with
+//! * threaded — real `std::thread` processes connected by faulty links, with
 //!   resend/deadline timing routed through a [`Clock`] so
 //!   tests can drive a run on virtual time; [`mb`] and [`sweep_mp`] are
 //!   configuration/report/handle façades over the one driver;
@@ -38,6 +37,11 @@
 //!   reads, checksummed payloads, in-frame causal tags, and
 //!   reconnect-with-backoff so a peer crash degrades to the detectable loss
 //!   the protocol already masks.
+//!
+//! Every medium injects the same link faults — loss, detectable
+//! corruption, duplication and reordering — through one model per link,
+//! `channel::FaultyLink`, whose draw order [`channel`] documents; a
+//! medium only maps the copies it hands back onto its wire.
 //!
 //! Both drivers, threaded and simulated, publish a process's state on the
 //! one resend policy, [`proc::Resend`]: at once on every change, then
@@ -63,7 +67,7 @@ pub mod telemetry;
 pub mod threaded;
 pub mod transport;
 
-pub use channel::{ChannelFaults, Delivery, FaultyReceiver, FaultySender};
+pub use channel::{ChannelFaults, Delivery};
 pub use ftbarrier_telemetry::{Clock, TestClock, WallClock};
 pub use mb::{MbConfig, MbProcessHandle, MbReport, MbRun};
 pub use mb_sim::{

@@ -1,15 +1,14 @@
 //! Seeded discrete-event simulated network.
 //!
-//! A [`SimNet`] is a set of unidirectional links carrying messages through a
-//! per-link latency model and the same fault classes as the threaded
-//! [`faulty_channel`](crate::channel::faulty_channel) — loss, duplication,
-//! reordering (hold-and-swap, identical semantics), detectable corruption —
+//! A [`SimNet`] is a set of unidirectional links, each carrying messages
+//! through the link fault model of [`crate::channel`] and a latency model,
 //! plus *link partitions*: while a link is partitioned every send on it is
 //! dropped; healing restores it (retransmission masks the gap as loss,
 //! exactly the §5 argument).
 //!
 //! Event model: `send` stamps each surviving copy of the message with a
-//! delivery time `now + latency` and pushes it on one global queue keyed
+//! delivery time `now + latency`, the latency drawn from the link's RNG
+//! after its fault draws, and pushes it on one global queue keyed
 //! `(Time, seq)` with `seq` a monotone counter, packed into one integer
 //! (the message waits in a slab beside the queue), so the delivery order
 //! is a pure function of the seed — no hashing, no wall clock. The driver
@@ -18,7 +17,7 @@
 //! the slab, the inboxes and the driver's `advance_to` buffer have grown to
 //! the run's working size, neither a send nor a delivery allocates.
 
-use crate::channel::{ChannelFaults, Delivery};
+use crate::channel::{ChannelFaults, Delivery, FaultyLink};
 use ftbarrier_gcs::{SimRng, Time};
 use ftbarrier_telemetry::{EventId, Telemetry};
 use std::cmp::Reverse;
@@ -94,10 +93,10 @@ pub struct NetStats {
 }
 
 struct Link<T> {
-    cfg: LinkConfig,
-    rng: SimRng,
-    /// A message held back for reordering (swapped with the next send).
-    held: Option<(Delivery<T>, Option<EventId>)>,
+    latency: LatencyModel,
+    /// The fault model of the message and its causal tag; its RNG draws the
+    /// latencies too.
+    faults: FaultyLink<(T, Option<EventId>)>,
     partitioned: bool,
     inbox: VecDeque<(Delivery<T>, Option<EventId>)>,
 }
@@ -146,7 +145,8 @@ pub struct SimNet<T> {
 
 impl<T: Clone> SimNet<T> {
     /// One entry in `links` per unidirectional link; all fault/latency
-    /// randomness is forked from `seed`.
+    /// randomness is forked from `seed`. Panics, naming the field, on a
+    /// fault probability outside `[0, 1]` or NaN.
     pub fn new(links: Vec<LinkConfig>, seed: u64) -> SimNet<T> {
         let mut rng = SimRng::seed_from_u64(seed);
         let links = links
@@ -154,9 +154,8 @@ impl<T: Clone> SimNet<T> {
             .map(|cfg| {
                 cfg.latency.validate();
                 Link {
-                    cfg,
-                    rng: rng.fork(),
-                    held: None,
+                    latency: cfg.latency,
+                    faults: FaultyLink::new(cfg.faults, rng.fork()),
                     partitioned: false,
                     inbox: VecDeque::new(),
                 }
@@ -220,23 +219,23 @@ impl<T: Clone> SimNet<T> {
     /// message — it was still on the sender's side of the cut.
     pub fn set_partitioned(&mut self, link: usize, cut: bool) {
         self.links[link].partitioned = cut;
-        if cut && self.links[link].held.take().is_some() {
+        if cut && self.links[link].faults.flush().is_some() {
             self.stats.lost += 1;
             self.count("net_lost_total", link);
         }
     }
 
-    fn schedule(&mut self, link: usize, delivery: Delivery<T>, tag: Option<EventId>) {
+    fn schedule(&mut self, link: usize, ((msg, tag), corrupted): ((T, Option<EventId>), bool)) {
         let latency = {
             let l = &mut self.links[link];
-            l.cfg.latency.sample(&mut l.rng)
+            l.latency.sample(l.faults.rng())
         };
         let at = self.now + Time::new(latency);
         self.seq += 1;
         let message = Some(InFlight {
             link,
             sent_at: self.now,
-            delivery,
+            delivery: Delivery::of((msg, corrupted)),
             tag,
         });
         let slot = match self.free.pop() {
@@ -254,9 +253,7 @@ impl<T: Clone> SimNet<T> {
     }
 
     /// Send `msg` on `link` at the current virtual time, through the link's
-    /// fault model. The decision stream mirrors
-    /// [`FaultySender::send`](crate::channel::FaultySender::send): loss,
-    /// then corruption, then duplication, then reorder hold-and-swap.
+    /// fault model; each surviving copy is scheduled straight onto the queue.
     pub fn send(&mut self, link: usize, msg: T) {
         self.send_tagged(link, msg, None);
     }
@@ -274,54 +271,27 @@ impl<T: Clone> SimNet<T> {
             self.count("net_blocked_total", link);
             return;
         }
-        let (lost, corrupted, duplicate, hold) = {
-            let l = &mut self.links[link];
-            let f = l.cfg.faults;
-            (
-                l.rng.chance(f.loss),
-                l.rng.chance(f.corruption),
-                l.rng.chance(f.duplication),
-                l.rng.chance(f.reorder),
-            )
-        };
-        if lost {
+        let sent = self.links[link].faults.send((msg, tag));
+        if sent.lost {
             self.stats.lost += 1;
             self.count("net_lost_total", link);
-            return;
         }
-        let delivery = if corrupted {
+        if sent.corrupted {
             self.stats.corrupted += 1;
             self.count("net_corrupted_total", link);
-            Delivery::Corrupted
-        } else {
-            Delivery::Ok(msg)
-        };
-
-        // Reordering: park this message; release any previously held one
-        // after the next send (a swap of adjacent messages). Copies are
-        // scheduled straight onto the queue, in a fixed order: this one,
-        // then the released held one, then the duplicate.
-        let dup = duplicate.then(|| delivery.clone());
-        if hold && self.links[link].held.is_none() {
-            self.stats.held += 1;
-            self.links[link].held = Some((delivery, tag));
-        } else {
-            self.schedule(link, delivery, tag);
-            if let Some((prev, prev_tag)) = self.links[link].held.take() {
-                self.schedule(link, prev, prev_tag);
-            }
         }
-        if let Some(copy) = dup {
+        if sent.duplicated {
             self.stats.duplicated += 1;
             self.count("net_duplicated_total", link);
-            self.schedule(link, copy, tag);
         }
+        self.stats.held += u64::from(sent.held);
+        sent.for_each(|copy| self.schedule(link, copy));
     }
 
     /// Release a held (reordered) message — call when a link goes quiet.
     pub fn flush(&mut self, link: usize) {
-        if let Some((prev, tag)) = self.links[link].held.take() {
-            self.schedule(link, prev, tag);
+        if let Some(copy) = self.links[link].faults.flush() {
+            self.schedule(link, copy);
         }
     }
 
@@ -393,7 +363,7 @@ impl<T: Clone> SimNet<T> {
                 }
             }
         }
-        if let Some((Delivery::Ok(payload), _)) = &mut self.links[link].held {
+        if let Some(((payload, _), false)) = self.links[link].faults.held_mut() {
             f(payload);
             hit += 1;
         }

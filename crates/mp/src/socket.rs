@@ -23,12 +23,12 @@
 //! * **Corruption stays detectable** — every frame carries an FNV-1a
 //!   checksum; a mismatch (or an injected in-flight corruption flag)
 //!   surfaces as [`Delivery::Corrupted`], never as a wrong payload.
-//!
-//! Send-time fault injection reuses [`ChannelFaults`] with the same
-//! draw order as [`crate::channel::FaultySender`], so the loopback
-//! differential suite can compare the two backends under one fault plan.
+//! * **Send-time faults are the link fault model** — each copy a
+//!   `FaultyLink` hands back is encoded as it is written, so the loopback
+//!   differential suite compares this backend with the channels under one
+//!   fault plan.
 
-use crate::channel::{ChannelFaults, Delivery};
+use crate::channel::{ChannelFaults, Delivery, FaultyLink};
 use crate::proc::StateMsg;
 use crate::transport::Endpoint;
 use ftbarrier_core::{Cp, Sn};
@@ -352,6 +352,12 @@ impl SendLink {
             self.arm_retry();
         }
     }
+
+    /// Encode and write one copy from the link fault model; a corrupted
+    /// copy goes out flagged, without its tag.
+    fn write_copy(&mut self, ((msg, tag), corrupt): ((StateMsg, Option<EventId>), bool)) {
+        self.write_frame(&encode_state(msg, tag.filter(|_| !corrupt), corrupt));
+    }
 }
 
 /// Incoming half: this process's listener plus the currently accepted
@@ -406,17 +412,14 @@ impl RecvLink {
 pub struct SocketEndpoint {
     out: SendLink,
     incoming: RecvLink,
-    faults: ChannelFaults,
-    rng: SimRng,
-    /// Encoded frame body parked for reordering (swapped with next send).
-    held: Option<Vec<u8>>,
+    faults: FaultyLink<(StateMsg, Option<EventId>)>,
     queue: VecDeque<(Delivery<StateMsg>, Option<EventId>)>,
 }
 
 impl SocketEndpoint {
     /// Assemble an endpoint from an accepted predecessor listener and a
-    /// successor address. `fault_seed` drives send-time fault injection
-    /// (same model and draw order as the channel backend).
+    /// successor address. `fault_seed` seeds the link fault model. Panics,
+    /// naming the field, on a fault probability outside `[0, 1]` or NaN.
     pub fn new(
         listener: TcpListener,
         successor: SocketAddr,
@@ -426,9 +429,7 @@ impl SocketEndpoint {
         Ok(SocketEndpoint {
             out: SendLink::new(successor),
             incoming: RecvLink::new(listener)?,
-            faults,
-            rng: SimRng::seed_from_u64(fault_seed),
-            held: None,
+            faults: FaultyLink::new(faults, SimRng::seed_from_u64(fault_seed)),
             queue: VecDeque::new(),
         })
     }
@@ -449,38 +450,15 @@ impl SocketEndpoint {
 
 impl Endpoint for SocketEndpoint {
     fn flush(&mut self) -> bool {
-        if let Some(body) = self.held.take() {
-            self.out.write_frame(&body);
+        if let Some(copy) = self.faults.flush() {
+            self.out.write_copy(copy);
         }
         true
     }
 
     fn send_tagged(&mut self, msg: StateMsg, tag: Option<EventId>) -> bool {
-        // Mirror FaultySender's draw order exactly: loss, corruption,
-        // duplication, reorder — one seeded stream per link.
-        if self.rng.chance(self.faults.loss) {
-            return true;
-        }
-        let corrupt = self.rng.chance(self.faults.corruption);
-        let duplicate = self.rng.chance(self.faults.duplication);
-        let hold = self.rng.chance(self.faults.reorder);
-        let body = encode_state(msg, if corrupt { None } else { tag }, corrupt);
-
-        let mut to_send: Vec<Vec<u8>> = Vec::with_capacity(3);
-        if hold && self.held.is_none() {
-            self.held = Some(body.clone());
-        } else {
-            to_send.push(body.clone());
-            if let Some(prev) = self.held.take() {
-                to_send.push(prev);
-            }
-        }
-        if duplicate {
-            to_send.push(body);
-        }
-        for b in to_send {
-            self.out.write_frame(&b);
-        }
+        let sent = self.faults.send((msg, tag));
+        sent.for_each(|copy| self.out.write_copy(copy));
         true
     }
 
@@ -774,6 +752,16 @@ mod tests {
         assert!(eps[1].try_recv().is_none(), "message is parked");
         assert!(eps[0].flush());
         assert_eq!(recv_blocking(&mut eps[1]), Some((Delivery::Ok(msg), None)));
+    }
+
+    #[test]
+    #[should_panic(expected = "ChannelFaults.corruption probability NaN out of range")]
+    fn a_nan_link_corruption_is_refused_by_name() {
+        let faults = ChannelFaults {
+            corruption: f64::NAN,
+            ..ChannelFaults::NONE
+        };
+        let _ = socket_ring(2, faults, &mut SimRng::seed_from_u64(5));
     }
 
     /// TCP delivery is asynchronous even on loopback: poll with a deadline.

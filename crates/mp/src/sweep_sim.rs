@@ -512,6 +512,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "ChannelFaults.duplication probability -0.1 out of range")]
+    fn a_negative_link_duplication_is_refused_by_name() {
+        let mut link = LinkConfig::perfect(0.01);
+        link.faults.duplication = -0.1;
+        let _ = run(
+            SweepDag::ring(3).unwrap(),
+            SweepSimConfig {
+                link,
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "retransmit_every must be positive and finite, got inf")]
     fn infinite_retransmit_period_is_rejected_by_name() {
         let _ = run(

@@ -9,15 +9,19 @@
 //! written against this trait only, so each core runs unchanged on every
 //! medium:
 //!
-//! * [`ChannelEndpoint`] — real `std::sync::mpsc` channels with send-time
-//!   fault injection ([`faulty_channel`]), one OS thread per process, wired
-//!   by [`channel_mesh`] ([`channel_ring`] is its ring case);
+//! * [`ChannelEndpoint`] — real `std::sync::mpsc` channels, one OS thread
+//!   per process, wired by [`channel_mesh`] ([`channel_ring`] is its ring
+//!   case);
 //! * the simulated driver's port ([`crate::sim`]) — one type for both
 //!   programs: it stages a burst, sends it link by link into the
 //!   discrete-event simulated network and reads the one link its driver
 //!   names, single-threaded and byte-for-byte replayable from a seed;
 //! * [`crate::socket::SocketEndpoint`] — length-prefixed TCP between OS
 //!   processes.
+//!
+//! Every medium draws its send-time faults from one model per link,
+//! `FaultyLink` (its fault classes and draw order are documented in
+//! [`crate::channel`]), and only puts the copies it hands back on the wire.
 //!
 //! # Causal tags
 //!
@@ -27,10 +31,11 @@
 //! recorder. [`Endpoint::send`] / [`Endpoint::try_recv`] are the untagged
 //! conveniences.
 
-use crate::channel::{faulty_channel, ChannelFaults, Delivery, FaultyReceiver, FaultySender};
+use crate::channel::{ChannelFaults, Delivery, FaultyLink};
 use crate::proc::StateMsg;
 use ftbarrier_gcs::SimRng;
 use ftbarrier_telemetry::EventId;
+use std::sync::mpsc::{self, Receiver, Sender};
 
 /// A process's port onto the network, carrying messages of type `M`.
 pub trait Endpoint<M = StateMsg> {
@@ -61,25 +66,27 @@ pub trait Endpoint<M = StateMsg> {
 /// exactly the semantics a receiver needs (no applied state, no edge).
 pub type TaggedMsg<M = StateMsg> = (M, Option<EventId>);
 
-/// Threaded backend port: the sending halves of the process's outgoing
-/// faulty links and the receiving halves of its incoming ones.
+/// Threaded backend port: the fault model and channel of every outgoing
+/// link, and the receiving end of every incoming one.
 pub struct ChannelEndpoint<M = StateMsg> {
-    txs: Vec<FaultySender<TaggedMsg<M>>>,
-    rxs: Vec<FaultyReceiver<TaggedMsg<M>>>,
+    links: Vec<FaultyLink<TaggedMsg<M>>>,
+    txs: Vec<Sender<Delivery<TaggedMsg<M>>>>,
+    rxs: Vec<Receiver<Delivery<TaggedMsg<M>>>>,
 }
 
 impl<M: Clone> Endpoint<M> for ChannelEndpoint<M> {
     fn send_tagged(&mut self, msg: M, tag: Option<EventId>) -> bool {
         // Every link gets the message, even past a dead one.
         let mut ok = true;
-        for tx in &self.txs {
-            ok &= tx.send((msg.clone(), tag));
+        for (link, tx) in self.links.iter_mut().zip(&self.txs) {
+            let sent = link.send((msg.clone(), tag));
+            sent.for_each(|copy| ok &= tx.send(Delivery::of(copy)).is_ok());
         }
         ok
     }
 
     fn try_recv_tagged(&mut self) -> Option<(Delivery<M>, Option<EventId>)> {
-        Some(match self.rxs.iter().find_map(|rx| rx.try_recv())? {
+        Some(match self.rxs.iter().find_map(|rx| rx.try_recv().ok())? {
             Delivery::Ok((msg, tag)) => (Delivery::Ok(msg), tag),
             Delivery::Corrupted => (Delivery::Corrupted, None),
         })
@@ -87,8 +94,10 @@ impl<M: Clone> Endpoint<M> for ChannelEndpoint<M> {
 
     fn flush(&mut self) -> bool {
         let mut ok = true;
-        for tx in &self.txs {
-            ok &= tx.flush();
+        for (link, tx) in self.links.iter_mut().zip(&self.txs) {
+            if let Some(copy) = link.flush() {
+                ok &= tx.send(Delivery::of(copy)).is_ok();
+            }
         }
         ok
     }
@@ -107,12 +116,14 @@ pub fn channel_mesh<M: Clone>(
 ) -> Vec<ChannelEndpoint<M>> {
     let mut ports: Vec<ChannelEndpoint<M>> = (0..n)
         .map(|_| ChannelEndpoint {
+            links: Vec::new(),
             txs: Vec::new(),
             rxs: Vec::new(),
         })
         .collect();
     for (from, to) in links {
-        let (tx, rx) = faulty_channel(faults, rng.next_u64());
+        let (tx, rx) = mpsc::channel();
+        ports[from].links.push(FaultyLink::new(faults, rng.fork()));
         ports[from].txs.push(tx);
         ports[to].rxs.push(rx);
     }

@@ -1190,3 +1190,24 @@ fn a_negative_poison_rate_is_refused_by_name() {
         ..Default::default()
     });
 }
+
+/// A link probability that is no probability is refused by name. Before,
+/// a NaN loss drew as "never" and ran fault-free, and a loss of 1.5 drew
+/// as "always" and wedged the ring.
+#[test]
+#[should_panic(expected = "ChannelFaults.loss probability NaN out of range")]
+fn a_nan_link_loss_is_refused_by_name() {
+    let _ = run(SimMbConfig {
+        link: lossy(f64::NAN),
+        ..Default::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "ChannelFaults.loss probability 1.5 out of range")]
+fn a_link_loss_above_one_is_refused_by_name() {
+    let _ = run(SimMbConfig {
+        link: lossy(1.5),
+        ..Default::default()
+    });
+}

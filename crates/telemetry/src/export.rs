@@ -233,15 +233,9 @@ fn key_with(key: &MetricKey, extra: &[(&str, &str)], name_suffix: &str) -> Strin
     k.render()
 }
 
+/// One label set's series of a histogram family; the family's header is
+/// the caller's.
 fn write_histogram(out: &mut String, key: &MetricKey, h: &Histogram) {
-    let name = sanitize_name(&key.name);
-    let _ = writeln!(
-        out,
-        "# HELP {} {}",
-        name,
-        escape_help(crate::names::help_text(&name))
-    );
-    let _ = writeln!(out, "# TYPE {name} histogram");
     for (bound, cum) in h.cumulative_buckets() {
         let b = prom_value(bound);
         let _ = writeln!(out, "{} {}", key_with(key, &[("le", &b)], "_bucket"), cum);
@@ -309,6 +303,7 @@ pub fn metrics_to_prometheus(metrics: &MetricsRegistry) -> String {
         let _ = writeln!(out, "{} {}", key.render(), prom_value(*value));
     }
     for (key, h) in &metrics.histograms {
+        type_line(&mut out, &sanitize_name(&key.name), "histogram");
         write_histogram(&mut out, key, h);
     }
     out
@@ -380,6 +375,24 @@ mod tests {
         assert!(s.contains("latency_count{link=\"0\"} 2"));
         assert!(s.contains("quantile=\"0.99\""));
         assert!(s.contains("le=\"+Inf\""));
+    }
+
+    #[test]
+    fn prometheus_declares_each_family_once_across_label_sets() {
+        let mut reg = MetricsRegistry::new();
+        for link in ["0", "1"] {
+            reg.add_counter("net_sent_total", &[("link", link)], 1);
+            reg.observe("net_delivery_latency", &[("link", link)], 0.01);
+        }
+        let text = metrics_to_prometheus(&reg);
+        for family in ["net_sent_total", "net_delivery_latency"] {
+            for decl in ["HELP", "TYPE"] {
+                let header = format!("# {decl} {family} ");
+                assert_eq!(text.matches(&header).count(), 1, "{header}in\n{text}");
+            }
+        }
+        assert!(text.contains("net_delivery_latency_count{link=\"0\"} 1"));
+        assert!(text.contains("net_delivery_latency_count{link=\"1\"} 1"));
     }
 
     #[test]
