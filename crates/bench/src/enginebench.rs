@@ -1,24 +1,21 @@
 //! Engine-throughput benchmark behind `repro bench`.
 //!
 //! Measures (a) raw engine events/sec on large-N barriers under the
-//! incremental scheduler, the full-rescan reference scheduler, and the
-//! struct-of-arrays sharded engine ([`DenseEngine`]); (b) the sharded
-//! engine's workers × events/sec curve on an N = 10⁵ ring; and (c) wall
-//! time of the Fig 5 sweep serial vs fanned across all cores. Results are
-//! reported as a JSON document (written to `BENCH_engine.json` by the
-//! `repro` binary) so throughput regressions are diffable.
+//! incremental scheduler and the full-rescan reference scheduler, and
+//! (b) wall time of the Fig 5 sweep serial vs fanned across all cores.
+//! Results are reported as a JSON document (written to `BENCH_engine.json`
+//! by the `repro` binary) so throughput regressions are diffable.
 //!
-//! Every row records the case size `n` and the worker count, and the
-//! document records `available_parallelism` at the top level, so a run on
-//! a 1-core container is legible as such: the Fig 5 parallel ratio is
-//! reported as `null` with a reason string instead of a misleading ~1.0.
+//! Every row records the case size `n`, and the document records
+//! `available_parallelism` at the top level, so a run on a 1-core container
+//! is legible as such: the Fig 5 parallel ratio is reported as `null` with a
+//! reason string instead of a misleading ~1.0.
 
 use crate::figures;
+use crate::parallel::available_parallelism;
 use ftbarrier_core::sweep::SweepBarrier;
 use ftbarrier_gcs::fault::NoFaults;
-use ftbarrier_gcs::{
-    available_parallelism, DenseEngine, DenseEngineConfig, Engine, EngineConfig, NullMonitor, Time,
-};
+use ftbarrier_gcs::{Engine, EngineConfig, NullMonitor, Time};
 use ftbarrier_topology::SweepDag;
 use std::time::Instant;
 
@@ -28,11 +25,8 @@ pub struct ThroughputRow {
     pub case_name: &'static str,
     /// Nominal case size (the N in `ring_N` / `tree_N`).
     pub n: usize,
-    /// `"incremental"`, `"full_rescan"` (both on the classic engine), or
-    /// `"soa"` (the struct-of-arrays sharded engine).
+    /// `"incremental"` or `"full_rescan"` (the reference scheduler).
     pub mode: &'static str,
-    /// Worker threads driving the run (always 1 for the classic engine).
-    pub workers: usize,
     pub events: u64,
     pub wall_s: f64,
     pub events_per_s: f64,
@@ -50,17 +44,15 @@ pub struct BenchReport {
     /// `std::thread::available_parallelism()` at measurement time.
     pub available_parallelism: usize,
     pub engine: Vec<ThroughputRow>,
-    /// Sharded-engine workers × throughput curve on the largest ring case.
-    pub curve: Vec<ThroughputRow>,
     pub sweep: Vec<SweepRow>,
 }
 
-/// Classic-engine modes for the moderate-N cases.
-const ALL_MODES: &[&str] = &["incremental", "full_rescan", "soa"];
+/// Scheduler modes for the moderate-N cases.
+const ALL_MODES: &[&str] = &["incremental", "full_rescan"];
 /// Full-rescan is Θ(N) per event, which at N ≥ 10⁵ would dominate the
-/// suite's wall time for no insight; the large cases compare the classic
-/// incremental scheduler against the SoA engine only.
-const LARGE_MODES: &[&str] = &["incremental", "soa"];
+/// suite's wall time for no insight; the large cases time the incremental
+/// scheduler only.
+const LARGE_MODES: &[&str] = &["incremental"];
 
 struct Case {
     name: &'static str,
@@ -129,28 +121,6 @@ fn measure_engine(program: &SweepBarrier, commits: u64, full_rescan: bool) -> (u
     (out.stats.actions_executed, wall)
 }
 
-fn measure_dense(
-    program: &SweepBarrier,
-    commits: u64,
-    workers: usize,
-    shards: Option<usize>,
-) -> (u64, f64) {
-    let mut engine = DenseEngine::new(program, 7);
-    if let Some(count) = shards {
-        engine = engine.with_shards(count);
-    }
-    let config = DenseEngineConfig {
-        max_commits: Some(commits),
-        workers: Some(workers),
-        ..Default::default()
-    };
-    let start = Instant::now();
-    let out = engine.run(&config, &mut NoFaults, &mut NullMonitor);
-    let wall = start.elapsed().as_secs_f64();
-    assert!(out.stats.actions_executed >= commits);
-    (out.stats.actions_executed, wall)
-}
-
 /// Run the full benchmark suite. `quick` shrinks the commit budget, drops
 /// the N = 10⁶ case, and trims the sweep grid (CI smoke); throughput
 /// numbers for CHANGES.md come from a full run.
@@ -161,45 +131,16 @@ pub fn run(quick: bool) -> BenchReport {
     let mut engine = Vec::new();
     for case in cases(quick) {
         for &mode in case.modes {
-            let (events, wall_s) = match mode {
-                "soa" => measure_dense(&case.program, commits, 1, None),
-                "incremental" => measure_engine(&case.program, commits, false),
-                "full_rescan" => measure_engine(&case.program, commits, true),
-                _ => unreachable!("unknown bench mode {mode}"),
-            };
+            let (events, wall_s) = measure_engine(&case.program, commits, mode == "full_rescan");
             engine.push(ThroughputRow {
                 case_name: case.name,
                 n: case.n,
                 mode,
-                workers: 1,
                 events,
                 wall_s,
                 events_per_s: events as f64 / wall_s,
             });
         }
-    }
-
-    // Workers × throughput curve for the sharded engine on the N = 10⁵
-    // ring. The shard count is pinned so every point partitions the pid
-    // space identically; only the worker pool varies. Worker counts above
-    // the core count are skipped — oversubscribed threads time-slice one
-    // core and would report scheduler noise, not speedup.
-    let curve_program = ring(100_000);
-    let mut curve = Vec::new();
-    for workers in [1usize, 2, 4, 8, 16] {
-        if workers > avail {
-            break;
-        }
-        let (events, wall_s) = measure_dense(&curve_program, commits, workers, Some(64));
-        curve.push(ThroughputRow {
-            case_name: "ring_100000",
-            n: 100_000,
-            mode: "soa",
-            workers,
-            events,
-            wall_s,
-            events_per_s: events as f64 / wall_s,
-        });
     }
 
     // Fig 5 sweep wall time: serial (1 worker) vs all cores. The worker
@@ -227,7 +168,6 @@ pub fn run(quick: bool) -> BenchReport {
     BenchReport {
         available_parallelism: avail,
         engine,
-        curve,
         sweep,
     }
 }
@@ -241,7 +181,6 @@ pub fn validate_schema(json: &str) {
         "\"schema\": \"enginebench/v1\"",
         "\"available_parallelism\"",
         "\"engine\"",
-        "\"workers_curve\"",
         "\"fig5_sweep\"",
         "\"speedup\"",
         "\"fig5_parallel\"",
@@ -259,8 +198,8 @@ pub fn validate_schema(json: &str) {
 
 fn row_json(r: &ThroughputRow) -> String {
     format!(
-        "{{\"case\": \"{}\", \"n\": {}, \"mode\": \"{}\", \"workers\": {}, \"events\": {}, \"wall_s\": {:.4}, \"events_per_s\": {:.0}}}",
-        r.case_name, r.n, r.mode, r.workers, r.events, r.wall_s, r.events_per_s
+        "{{\"case\": \"{}\", \"n\": {}, \"mode\": \"{}\", \"events\": {}, \"wall_s\": {:.4}, \"events_per_s\": {:.0}}}",
+        r.case_name, r.n, r.mode, r.events, r.wall_s, r.events_per_s
     )
 }
 
@@ -277,14 +216,6 @@ impl BenchReport {
                 "    {}{}\n",
                 row_json(r),
                 if i + 1 < self.engine.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n  \"workers_curve\": [\n");
-        for (i, r) in self.curve.iter().enumerate() {
-            s.push_str(&format!(
-                "    {}{}\n",
-                row_json(r),
-                if i + 1 < self.curve.len() { "," } else { "" }
             ));
         }
         s.push_str("  ],\n  \"fig5_sweep\": [\n");
@@ -308,26 +239,6 @@ impl BenchReport {
             if let (Some(inc), Some(full)) = (of(case, "incremental"), of(case, "full_rescan")) {
                 lines.push(format!("    \"{}\": {:.2}", case, inc / full));
             }
-        }
-        // SoA-engine gain over the classic incremental scheduler, per case.
-        let mut soa = Vec::new();
-        for r in &self.engine {
-            if r.mode != "soa" {
-                continue;
-            }
-            if let Some(inc) = of(r.case_name, "incremental") {
-                soa.push(format!(
-                    "      \"{}\": {:.2}",
-                    r.case_name,
-                    r.events_per_s / inc
-                ));
-            }
-        }
-        if !soa.is_empty() {
-            lines.push(format!(
-                "    \"soa_vs_incremental\": {{\n{}\n    }}",
-                soa.join(",\n")
-            ));
         }
         if self.sweep.len() == 2 && self.sweep[1].wall_s > 0.0 {
             lines.push(format!(
@@ -358,15 +269,6 @@ impl BenchReport {
                 r.case_name, r.mode, r.events_per_s, r.events, r.wall_s
             ));
         }
-        if !self.curve.is_empty() {
-            s.push_str("sharded engine workers curve (ring_100000, events/sec):\n");
-            for r in &self.curve {
-                s.push_str(&format!(
-                    "  {:>2} workers: {:>12.0}\n",
-                    r.workers, r.events_per_s
-                ));
-            }
-        }
         s.push_str("fig5 sweep wall time:\n");
         for r in &self.sweep {
             s.push_str(&format!("  {:>2} workers: {:.3}s\n", r.workers, r.wall_s));
@@ -382,12 +284,11 @@ impl BenchReport {
 mod tests {
     use super::*;
 
-    fn row(case: &'static str, n: usize, mode: &'static str, workers: usize) -> ThroughputRow {
+    fn row(case: &'static str, n: usize, mode: &'static str) -> ThroughputRow {
         ThroughputRow {
             case_name: case,
             n,
             mode,
-            workers,
             events: 1000,
             wall_s: 0.5,
             events_per_s: 2000.0,
@@ -398,12 +299,10 @@ mod tests {
         BenchReport {
             available_parallelism: cores,
             engine: vec![
-                row("tree_1024", 1024, "incremental", 1),
-                row("tree_1024", 1024, "full_rescan", 1),
-                row("tree_1024", 1024, "soa", 1),
-                row("ring_100000", 100_000, "soa", 1),
+                row("tree_1024", 1024, "incremental"),
+                row("tree_1024", 1024, "full_rescan"),
+                row("ring_100000", 100_000, "incremental"),
             ],
-            curve: vec![row("ring_100000", 100_000, "soa", 1)],
             sweep,
         }
     }
@@ -421,7 +320,7 @@ mod tests {
         validate_schema(&json);
         assert!(json.contains("\"fig5_parallel\": null"));
         assert!(json.contains("not measurable: 1 core available"));
-        assert!(json.contains("\"soa_vs_incremental\""));
+        assert!(json.contains("\"tree_1024\": 1.00"));
     }
 
     #[test]

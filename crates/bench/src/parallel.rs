@@ -11,10 +11,42 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-// The `FTBARRIER_WORKERS` parsing/validation lives in the simulation crate
-// so the sharded engine and the sweep layer agree on one spelling of the
-// contract; re-exported here for the bench binaries and existing callers.
-pub use ftbarrier_gcs::workers::{available_parallelism, parse_workers, worker_count};
+/// Detected hardware parallelism, with a serial fallback when the platform
+/// cannot answer (the same `1` a one-core container reports).
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Parse an `FTBARRIER_WORKERS` value: a positive integer, or a clear error
+/// (a typo must not silently fall back to the detected core count).
+///
+/// Values above the detected core count are accepted — oversubscription is a
+/// legitimate request; [`parallel_map`] clamps to the number of cells.
+pub fn parse_workers(raw: &str) -> Result<usize, String> {
+    match raw.trim().parse::<usize>() {
+        Ok(0) => Err(format!(
+            "FTBARRIER_WORKERS must be a positive integer, got `{raw}` (use 1 for the serial path)"
+        )),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!(
+            "FTBARRIER_WORKERS must be a positive integer, got `{raw}`"
+        )),
+    }
+}
+
+/// Number of worker threads the experiment fan-out uses.
+///
+/// `FTBARRIER_WORKERS` overrides the detected core count (set it to 1 to
+/// force the serial path, e.g. when timing a single cell). An invalid value
+/// is a configuration error and panics rather than being silently ignored.
+pub fn worker_count() -> usize {
+    if let Ok(v) = std::env::var("FTBARRIER_WORKERS") {
+        return parse_workers(&v).unwrap_or_else(|e| panic!("{e}"));
+    }
+    available_parallelism()
+}
 
 /// Map `f` over `items` on up to [`worker_count`] scoped threads, returning
 /// results in input order.
@@ -106,6 +138,21 @@ mod tests {
             Ok(4),
             "surrounding whitespace is fine"
         );
+    }
+
+    #[test]
+    fn parse_workers_accepts_over_core_values() {
+        // Oversubscription is allowed: parallel_map clamps to the number of
+        // cells, but the parse itself must not second-guess an explicit
+        // request.
+        let cores = available_parallelism();
+        assert_eq!(parse_workers(&format!("{}", cores * 64)), Ok(cores * 64));
+        assert_eq!(parse_workers("4096"), Ok(4096));
+    }
+
+    #[test]
+    fn available_parallelism_is_positive() {
+        assert!(available_parallelism() >= 1);
     }
 
     #[test]

@@ -245,27 +245,6 @@ impl Protocol for IntolerantBarrier {
     }
 }
 
-// The baseline's state is four small fields; the array-of-structs layout is
-// dense enough for the comparator role it plays, so the blanket `Vec<_>`
-// encoding serves as its dense form on the sharded engine.
-impl ftbarrier_gcs::DenseProtocol for IntolerantBarrier {
-    type Dense = Vec<IntolerantState>;
-
-    fn dense_enabled(&self, dense: &Vec<IntolerantState>, pos: Pid, action: ActionId) -> bool {
-        self.enabled(dense, pos, action)
-    }
-
-    fn dense_execute(
-        &self,
-        dense: &Vec<IntolerantState>,
-        pos: Pid,
-        action: ActionId,
-        rng: &mut SimRng,
-    ) -> IntolerantState {
-        self.execute(dense, pos, action, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

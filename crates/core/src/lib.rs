@@ -21,8 +21,11 @@
 //! Supporting systems: the barrier specification oracle ([`spec`]), the fault
 //! taxonomy and auxiliary-variable fault modeling ([`faults`]), the §6.1
 //! analytical model ([`analysis`]), the fault-intolerant baseline
-//! ([`intolerant`]), the experiment harness ([`sim`]), and the §7
-//! instantiations ([`instantiations`]).
+//! ([`intolerant`]), the experiment harness ([`sim`], which runs every
+//! program on the one timed engine, `ftbarrier_gcs::Engine`), the
+//! conformance battery ([`testkit`], which also holds that engine's
+//! incremental scheduler byte-identical to its full-rescan reference), and
+//! the §7 instantiations ([`instantiations`]).
 
 pub mod analysis;
 pub mod byz;

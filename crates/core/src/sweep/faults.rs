@@ -166,52 +166,6 @@ impl<A: FaultAction<PosState>> FaultPlan<PosState> for ProcessFaults<A> {
     }
 }
 
-// Dense counterpart with identical RNG draw order (victim draw, then the
-// action's draws per position ascending), so a dense run's fault schedule
-// matches the classic engine's draw for draw.
-impl<D, A> ftbarrier_gcs::DenseFaultPlan<D> for ProcessFaults<A>
-where
-    D: ftbarrier_gcs::DenseState<Elem = PosState>,
-    A: FaultAction<PosState>,
-{
-    fn peek(&mut self, now: Time, rng: &mut SimRng) -> Option<Time> {
-        if self.rate == 0.0 {
-            return None;
-        }
-        if self.next.is_none() {
-            let dt = rng.exponential(self.rate);
-            if !dt.is_finite() {
-                return None;
-            }
-            self.next = Some(now + Time::new(dt));
-        }
-        self.next
-    }
-
-    fn fire(
-        &mut self,
-        _at: Time,
-        dense: &mut D,
-        rng: &mut SimRng,
-        touched: &mut Vec<Pid>,
-    ) -> FaultHit<PosState> {
-        let victim = rng.below(self.positions_of.len());
-        let old = dense.get(self.positions_of[victim][0]);
-        for &pos in &self.positions_of[victim] {
-            let mut s = dense.get(pos);
-            self.action.apply(victim, &mut s, rng);
-            dense.set(pos, s);
-            touched.push(pos);
-        }
-        self.next = None;
-        FaultHit {
-            pid: self.positions_of[victim][0],
-            kind: self.action.kind(),
-            old,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

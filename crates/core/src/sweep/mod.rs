@@ -25,13 +25,11 @@
 mod faults;
 mod mb;
 mod program;
-mod soa;
 mod state;
 
 pub use faults::{
     pos_in_domain, ProcessFaults, SweepByzantineFault, SweepDetectableFault, SweepUndetectableFault,
 };
 pub use mb::mb_ring;
-pub use program::{SweepBarrier, SweepStateView, POSTWORK, RECV, T3, T4, T5, WORK};
-pub use soa::SweepSoa;
+pub use program::{SweepBarrier, POSTWORK, RECV, T3, T4, T5, WORK};
 pub use state::PosState;

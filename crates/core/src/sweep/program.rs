@@ -4,69 +4,9 @@
 
 use crate::cp::Cp;
 use crate::sn::Sn;
-use crate::sweep::soa::SweepSoa;
 use crate::sweep::state::PosState;
-use ftbarrier_gcs::{ActionId, DenseProtocol, Pid, Protocol, ReaderSet, SimRng, Time};
+use ftbarrier_gcs::{ActionId, Pid, Protocol, ReaderSet, SimRng, Time};
 use ftbarrier_topology::{CsrDag, Pos, SweepDag};
-
-/// Read-only positional access to the sweep state, so one copy of the
-/// guard/statement logic serves both the array-of-structs layout the classic
-/// engine uses and the struct-of-arrays layout ([`SweepSoa`]) the sharded
-/// engine uses. Implementations must agree: `view.sn(p) == states[p].sn`
-/// etc. for the state they present.
-pub trait SweepStateView {
-    fn sn(&self, pos: Pos) -> Sn;
-    fn cp(&self, pos: Pos) -> Cp;
-    fn ph(&self, pos: Pos) -> u32;
-    fn done(&self, pos: Pos) -> bool;
-    fn post(&self, pos: Pos) -> bool;
-}
-
-impl SweepStateView for [PosState] {
-    #[inline]
-    fn sn(&self, pos: Pos) -> Sn {
-        self[pos].sn
-    }
-    #[inline]
-    fn cp(&self, pos: Pos) -> Cp {
-        self[pos].cp
-    }
-    #[inline]
-    fn ph(&self, pos: Pos) -> u32 {
-        self[pos].ph
-    }
-    #[inline]
-    fn done(&self, pos: Pos) -> bool {
-        self[pos].done
-    }
-    #[inline]
-    fn post(&self, pos: Pos) -> bool {
-        self[pos].post
-    }
-}
-
-impl SweepStateView for SweepSoa {
-    #[inline]
-    fn sn(&self, pos: Pos) -> Sn {
-        self.sn_at(pos)
-    }
-    #[inline]
-    fn cp(&self, pos: Pos) -> Cp {
-        self.cp_at(pos)
-    }
-    #[inline]
-    fn ph(&self, pos: Pos) -> u32 {
-        self.ph[pos]
-    }
-    #[inline]
-    fn done(&self, pos: Pos) -> bool {
-        self.done_at(pos)
-    }
-    #[inline]
-    fn post(&self, pos: Pos) -> bool {
-        self.post_at(pos)
-    }
-}
 
 /// Token receipt + superposed `cp`/`ph` update (the paper's T1 at the root,
 /// T2 elsewhere).
@@ -207,14 +147,14 @@ impl SweepBarrier {
 
     /// If all predecessors of `pos` carry the same ordinary sequence number,
     /// return it.
-    fn pred_sn<V: SweepStateView + ?Sized>(&self, g: &V, pos: Pos) -> Option<Sn> {
+    fn pred_sn(&self, g: &[PosState], pos: Pos) -> Option<Sn> {
         let preds = self.csr.preds(pos);
-        let first = g.sn(preds[0] as Pos);
+        let first = g[preds[0] as Pos].sn;
         if !first.is_valid() {
             return None;
         }
         for &q in &preds[1..] {
-            if g.sn(q as Pos) != first {
+            if g[q as Pos].sn != first {
                 return None;
             }
         }
@@ -224,9 +164,9 @@ impl SweepBarrier {
     /// The sequence number the root adopts on T1: the sinks' common value
     /// when they agree, else — only relevant when the root itself is flagged
     /// and repairing — the value of any ordinary sink.
-    fn root_recv_sn<V: SweepStateView + ?Sized>(&self, g: &V, own: Sn) -> Option<Sn> {
+    fn root_recv_sn(&self, g: &[PosState], own: Sn) -> Option<Sn> {
         if let Some(v) = self.pred_sn(g, SweepDag::ROOT) {
-            if g.sn(SweepDag::ROOT) == v || !own.is_valid() {
+            if g[SweepDag::ROOT].sn == v || !own.is_valid() {
                 return Some(v);
             }
             return None;
@@ -240,7 +180,7 @@ impl SweepBarrier {
                 .csr
                 .sinks()
                 .iter()
-                .map(|&q| g.sn(q as Pos))
+                .map(|&q| g[q as Pos].sn)
                 .find(|sn| sn.is_valid());
         }
         None
@@ -249,49 +189,45 @@ impl SweepBarrier {
     /// A sink whose sequence number is ordinary — under detectable faults
     /// this is exactly a sink whose `ph` is trustworthy (a corrupted sink is
     /// flagged until its own RECV repairs both `sn` and `ph`).
-    fn trusted_sink<V: SweepStateView + ?Sized>(&self, g: &V, fallback: Pos) -> Pos {
+    fn trusted_sink(&self, g: &[PosState], fallback: Pos) -> Pos {
         self.csr
             .sinks()
             .iter()
             .map(|&q| q as Pos)
-            .find(|&q| g.sn(q).is_valid())
+            .find(|&q| g[q].sn.is_valid())
             .unwrap_or(fallback)
     }
 
     /// The control position all predecessors agree on, if they agree.
-    fn pred_cp<V: SweepStateView + ?Sized>(&self, g: &V, pos: Pos) -> Option<Cp> {
+    fn pred_cp(&self, g: &[PosState], pos: Pos) -> Option<Cp> {
         let preds = self.csr.preds(pos);
-        let first = g.cp(preds[0] as Pos);
-        if preds[1..].iter().all(|&q| g.cp(q as Pos) == first) {
+        let first = g[preds[0] as Pos].cp;
+        if preds[1..].iter().all(|&q| g[q as Pos].cp == first) {
             Some(first)
         } else {
             None
         }
     }
 
-    fn pred_ph_agree<V: SweepStateView + ?Sized>(&self, g: &V, pos: Pos) -> bool {
+    fn pred_ph_agree(&self, g: &[PosState], pos: Pos) -> bool {
         let preds = self.csr.preds(pos);
-        let first = g.ph(preds[0] as Pos);
-        preds[1..].iter().all(|&q| g.ph(q as Pos) == first)
+        let first = g[preds[0] as Pos].ph;
+        preds[1..].iter().all(|&q| g[q as Pos].ph == first)
     }
 
     /// Does `pos` currently hold the token (may it execute `RECV`)?
     pub fn has_token(&self, g: &[PosState], pos: Pos) -> bool {
-        self.has_token_in(g, pos)
-    }
-
-    fn has_token_in<V: SweepStateView + ?Sized>(&self, g: &V, pos: Pos) -> bool {
         if pos == SweepDag::ROOT {
-            return self.root_recv_sn(g, g.sn(pos)).is_some();
+            return self.root_recv_sn(g, g[pos].sn).is_some();
         }
         // T2's guard: predecessors ordinary and all differing from our own
         // sequence number. (With one predecessor this is the paper's guard
         // verbatim; with several it is the natural aggregation — we move
         // only once every predecessor has moved past us.)
         let preds = self.csr.preds(pos);
-        let own = g.sn(pos);
+        let own = g[pos].sn;
         preds.iter().all(|&q| {
-            let sn = g.sn(q as Pos);
+            let sn = g[q as Pos].sn;
             sn.is_valid() && sn != own
         })
     }
@@ -301,15 +237,15 @@ impl SweepBarrier {
     /// token action] at its action point", i.e. not mid-phase) — and, in the
     /// fuzzy extension, while post-work is still running (the process is
     /// busy; it neither relays nor leaves the barrier).
-    fn recv_blocked_on_work<V: SweepStateView + ?Sized>(&self, g: &V, pos: Pos) -> bool {
+    fn recv_blocked_on_work(&self, g: &[PosState], pos: Pos) -> bool {
         if !self.worker[pos] {
             return false;
         }
-        let cp = g.cp(pos);
-        if self.fuzzy() && !g.post(pos) && matches!(cp, Cp::Success | Cp::Ready) {
+        let cp = g[pos].cp;
+        if self.fuzzy() && !g[pos].post && matches!(cp, Cp::Success | Cp::Ready) {
             return true;
         }
-        if cp != Cp::Execute || g.done(pos) {
+        if cp != Cp::Execute || g[pos].done {
             return false;
         }
         if pos == SweepDag::ROOT {
@@ -322,12 +258,12 @@ impl SweepBarrier {
 
     /// The superposed update at the root (the paper's "updating ph.0 and
     /// cp.0 in process 0", with the sinks in the role of process N).
-    fn root_update<V: SweepStateView + ?Sized>(&self, g: &V, s: &mut PosState) {
+    fn root_update(&self, g: &[PosState], s: &mut PosState) {
         let sinks = self.csr.sinks();
-        let all_sinks = |cp: Cp| sinks.iter().all(|&q| g.cp(q as Pos) == cp);
+        let all_sinks = |cp: Cp| sinks.iter().all(|&q| g[q as Pos].cp == cp);
         // Phase re-learned from a sink with a trustworthy (ordinary) sn.
-        let sink_ph = g.ph(self.trusted_sink(g, sinks[0] as Pos));
-        let sinks_ph_agree = sinks.iter().all(|&q| g.ph(q as Pos) == sink_ph);
+        let sink_ph = g[self.trusted_sink(g, sinks[0] as Pos)].ph;
+        let sinks_ph_agree = sinks.iter().all(|&q| g[q as Pos].ph == sink_ph);
         match s.cp {
             Cp::Ready => {
                 if all_sinks(Cp::Ready) && sinks_ph_agree && sink_ph == s.ph {
@@ -363,12 +299,12 @@ impl SweepBarrier {
 
     /// The superposed update at a non-root position (the paper's "updating
     /// ph.j and cp.j in process j, j ≠ 0").
-    fn nonroot_update<V: SweepStateView + ?Sized>(&self, g: &V, pos: Pos, s: &mut PosState) {
+    fn nonroot_update(&self, g: &[PosState], pos: Pos, s: &mut PosState) {
         let pred_cp = self.pred_cp(g, pos);
         let ph_agree = self.pred_ph_agree(g, pos);
         let old_cp = s.cp;
         // "ph.j := ph.(j-1)" — unconditional first line.
-        s.ph = g.ph(self.csr.preds(pos)[0] as Pos);
+        s.ph = g[self.csr.preds(pos)[0] as Pos].ph;
         match (old_cp, pred_cp) {
             (Cp::Ready, Some(Cp::Execute)) if ph_agree => {
                 s.cp = Cp::Execute;
@@ -395,120 +331,18 @@ impl SweepBarrier {
             }
         }
     }
-    /// Guard of `(pos, action)` against any state view — the single source
-    /// of truth behind both `Protocol::enabled` and `dense_enabled`.
-    fn enabled_in<V: SweepStateView + ?Sized>(&self, g: &V, pos: Pos, action: ActionId) -> bool {
-        match action {
-            RECV => self.has_token_in(g, pos) && !self.recv_blocked_on_work(g, pos),
-            WORK => self.worker[pos] && g.cp(pos) == Cp::Execute && !g.done(pos),
-            T3 => self.csr.is_sink(pos) && g.sn(pos) == Sn::Bot,
-            T4 => !self.csr.is_sink(pos) && g.sn(pos) == Sn::Bot && self.top_wave_arrived(g, pos),
-            T5 => pos == SweepDag::ROOT && g.sn(pos) == Sn::Top,
-            POSTWORK => {
-                self.fuzzy()
-                    && self.worker[pos]
-                    && !g.post(pos)
-                    && matches!(g.cp(pos), Cp::Success | Cp::Ready)
-            }
-            _ => false,
-        }
-    }
-
-    /// Every enabled action at `pos`, ascending, in one pass over any state
-    /// view — the single body behind both `Protocol::enabled_actions` and
-    /// `dense_enabled_actions`. It reads `pos`'s own lanes once and gates
-    /// each guard on those local conditions before touching the
-    /// neighbourhood, instead of re-reading the state for each of the six
-    /// actions; the result equals filtering [`Self::enabled_in`] over them.
-    fn enabled_actions_in<V: SweepStateView + ?Sized>(
-        &self,
-        g: &V,
-        pos: Pos,
-        out: &mut Vec<ActionId>,
-    ) {
-        out.clear();
-        let sn = g.sn(pos);
-        let cp = g.cp(pos);
-        let done = g.done(pos);
-        let worker = self.worker[pos];
-
-        if self.has_token_in(g, pos) && !self.recv_blocked_on_work(g, pos) {
-            out.push(RECV);
-        }
-        if worker && cp == Cp::Execute && !done {
-            out.push(WORK);
-        }
-        if sn == Sn::Bot {
-            if self.csr.is_sink(pos) {
-                out.push(T3);
-            } else if self.top_wave_arrived(g, pos) {
-                out.push(T4);
-            }
-        }
-        if pos == SweepDag::ROOT && sn == Sn::Top {
-            out.push(T5);
-        }
-        if self.fuzzy() && worker && !g.post(pos) && matches!(cp, Cp::Success | Cp::Ready) {
-            out.push(POSTWORK);
-        }
-    }
 
     /// T4's wave condition: all successors carry ⊤ — or, generalized closing
     /// of the ⊤ wave, a ⊥ root also accepts the wave from its *sinks* (the
     /// ring's T4 reads the successor, which for the ring's 0 is on the same
     /// path; in a tree the wave otherwise stalls at stale-valid inner nodes).
-    fn top_wave_arrived<V: SweepStateView + ?Sized>(&self, g: &V, pos: Pos) -> bool {
+    fn top_wave_arrived(&self, g: &[PosState], pos: Pos) -> bool {
         self.csr
             .succs(pos)
             .iter()
-            .all(|&q| g.sn(q as Pos) == Sn::Top)
+            .all(|&q| g[q as Pos].sn == Sn::Top)
             || (pos == SweepDag::ROOT
-                && self.csr.sinks().iter().all(|&q| g.sn(q as Pos) == Sn::Top))
-    }
-
-    /// Statement of `(pos, action)` against any state view — the single
-    /// source of truth behind both `Protocol::execute` and `dense_execute`.
-    fn execute_in<V: SweepStateView + ?Sized>(
-        &self,
-        g: &V,
-        pos: Pos,
-        action: ActionId,
-    ) -> PosState {
-        let mut s = PosState {
-            sn: g.sn(pos),
-            cp: g.cp(pos),
-            ph: g.ph(pos),
-            done: g.done(pos),
-            post: g.post(pos),
-        };
-        match action {
-            RECV => {
-                if pos == SweepDag::ROOT {
-                    let v = self
-                        .root_recv_sn(g, s.sn)
-                        .expect("T1 only enabled with a usable sink value");
-                    s.sn = v.next(self.sn_domain);
-                    self.root_update(g, &mut s);
-                } else {
-                    s.sn = g.sn(self.csr.preds(pos)[0] as Pos);
-                    self.nonroot_update(g, pos, &mut s);
-                }
-            }
-            WORK => {
-                s.done = true;
-            }
-            T3 | T4 => {
-                s.sn = Sn::Top;
-            }
-            T5 => {
-                s.sn = Sn::Val(0);
-            }
-            POSTWORK => {
-                s.post = true;
-            }
-            _ => unreachable!("sweep program has 6 actions"),
-        }
-        s
+                && self.csr.sinks().iter().all(|&q| g[q as Pos].sn == Sn::Top))
     }
 }
 
@@ -542,15 +376,85 @@ impl Protocol for SweepBarrier {
     }
 
     fn enabled(&self, g: &[PosState], pos: Pid, action: ActionId) -> bool {
-        self.enabled_in(g, pos, action)
+        match action {
+            RECV => self.has_token(g, pos) && !self.recv_blocked_on_work(g, pos),
+            WORK => self.worker[pos] && g[pos].cp == Cp::Execute && !g[pos].done,
+            T3 => self.csr.is_sink(pos) && g[pos].sn == Sn::Bot,
+            T4 => !self.csr.is_sink(pos) && g[pos].sn == Sn::Bot && self.top_wave_arrived(g, pos),
+            T5 => pos == SweepDag::ROOT && g[pos].sn == Sn::Top,
+            POSTWORK => {
+                self.fuzzy()
+                    && self.worker[pos]
+                    && !g[pos].post
+                    && matches!(g[pos].cp, Cp::Success | Cp::Ready)
+            }
+            _ => false,
+        }
     }
 
+    /// Every enabled action at `pos`, ascending, in one pass: it reads
+    /// `pos`'s own state once and gates each guard on those local conditions
+    /// before touching the neighbourhood, instead of re-reading the state
+    /// for each of the six actions; the result equals filtering
+    /// [`Protocol::enabled`] over them.
     fn enabled_actions(&self, g: &[PosState], pos: Pid, out: &mut Vec<ActionId>) {
-        self.enabled_actions_in(g, pos, out);
+        out.clear();
+        let sn = g[pos].sn;
+        let cp = g[pos].cp;
+        let done = g[pos].done;
+        let worker = self.worker[pos];
+
+        if self.has_token(g, pos) && !self.recv_blocked_on_work(g, pos) {
+            out.push(RECV);
+        }
+        if worker && cp == Cp::Execute && !done {
+            out.push(WORK);
+        }
+        if sn == Sn::Bot {
+            if self.csr.is_sink(pos) {
+                out.push(T3);
+            } else if self.top_wave_arrived(g, pos) {
+                out.push(T4);
+            }
+        }
+        if pos == SweepDag::ROOT && sn == Sn::Top {
+            out.push(T5);
+        }
+        if self.fuzzy() && worker && !g[pos].post && matches!(cp, Cp::Success | Cp::Ready) {
+            out.push(POSTWORK);
+        }
     }
 
     fn execute(&self, g: &[PosState], pos: Pid, action: ActionId, _rng: &mut SimRng) -> PosState {
-        self.execute_in(g, pos, action)
+        let mut s = g[pos];
+        match action {
+            RECV => {
+                if pos == SweepDag::ROOT {
+                    let v = self
+                        .root_recv_sn(g, s.sn)
+                        .expect("T1 only enabled with a usable sink value");
+                    s.sn = v.next(self.sn_domain);
+                    self.root_update(g, &mut s);
+                } else {
+                    s.sn = g[self.csr.preds(pos)[0] as Pos].sn;
+                    self.nonroot_update(g, pos, &mut s);
+                }
+            }
+            WORK => {
+                s.done = true;
+            }
+            T3 | T4 => {
+                s.sn = Sn::Top;
+            }
+            T5 => {
+                s.sn = Sn::Val(0);
+            }
+            POSTWORK => {
+                s.post = true;
+            }
+            _ => unreachable!("sweep program has 6 actions"),
+        }
+        s
     }
 
     fn cost(&self, _pos: Pid, action: ActionId) -> Time {
@@ -588,28 +492,6 @@ impl Protocol for SweepBarrier {
         readers.sort_unstable();
         readers.dedup();
         ReaderSet::These(readers)
-    }
-}
-
-impl DenseProtocol for SweepBarrier {
-    type Dense = SweepSoa;
-
-    fn dense_enabled(&self, dense: &SweepSoa, pos: Pid, action: ActionId) -> bool {
-        self.enabled_in(dense, pos, action)
-    }
-
-    fn dense_execute(
-        &self,
-        dense: &SweepSoa,
-        pos: Pid,
-        action: ActionId,
-        _rng: &mut SimRng,
-    ) -> PosState {
-        self.execute_in(dense, pos, action)
-    }
-
-    fn dense_enabled_actions(&self, dense: &SweepSoa, pos: Pid, out: &mut Vec<ActionId>) {
-        self.enabled_actions_in(dense, pos, out);
     }
 }
 

@@ -14,10 +14,10 @@
 //!    sequence-number domains with `gcd(3, L) ≠ 1` or `L` even, the PR-5
 //!    audit pitfall: the protocol itself never livelocks on such domains,
 //!    only a reachable-set-based audit goal does.
-//! 3. **Classic ≡ dense differential** — the incremental scheduler, the
-//!    full-rescan reference, and the sharded struct-of-arrays engine at
-//!    every worker count produce byte-identical traces, final states, and
-//!    stats, with and without fault plans, with telemetry on and off.
+//! 3. **Scheduler differential** — the engine's incremental scheduler and
+//!    its full-rescan reference produce byte-identical traces, final
+//!    states, and stats, with and without fault plans, with telemetry on
+//!    and off.
 //! 4. **Fault recovery** — detectable faults are masked (zero violations),
 //!    the latency monitor accounts for every observed fault wave, and the
 //!    program stabilizes from arbitrary states.
@@ -25,16 +25,17 @@
 //!    valid, a graft restores the exact base edge set, and a scripted
 //!    crash → detect → splice → reboot → graft round-trip completes phases
 //!    with the rejoined process participating.
-//! 6. **Causal determinism** — with the happens-before recorder (the
-//!    flight-recorder configuration) armed, classic and dense engines at
-//!    every worker count dump byte-identical causal graphs, and arming the
-//!    recorder never perturbs the run itself.
+//! 6. **Causal scheduler differential** — with the happens-before recorder
+//!    (the flight-recorder configuration) armed, both schedulers dump
+//!    byte-identical causal graphs, and arming the recorder never perturbs
+//!    the run itself.
 //!
-//! The differential runners ([`run_classic`], [`run_dense`],
-//! [`assert_identical`]) are shared with `crates/core/tests/differential.rs`
-//! so the conformance suite and the differential suite cannot drift apart.
-//! New topologies get the whole battery by calling
-//! [`check_conformance`] on their [`TopologySpec`].
+//! The differential runners ([`run_classic`], [`assert_identical`]) are
+//! shared with `crates/core/tests/differential.rs` so the conformance suite
+//! and the differential suite cannot drift apart. New topologies get the
+//! whole battery by calling [`check_conformance`] on their
+//! [`TopologySpec`]; any other [`Protocol`] gets checks 3 and 6 from
+//! [`check_protocol_scheduler_differential`].
 
 use crate::churn::{run_churn, ChurnEvent, ChurnExperiment};
 use crate::cp::Cp;
@@ -48,8 +49,8 @@ use crate::telemetry::SweepLatencyMonitor;
 use ftbarrier_gcs::fault::NoFaults;
 use ftbarrier_gcs::trace::{Trace, TraceEvent};
 use ftbarrier_gcs::{
-    ActionId, CausalMonitor, DenseEngine, DenseEngineConfig, Engine, EngineConfig, Monitor,
-    MonitorSet, Pid, TelemetryMonitor, Time,
+    ActionId, CausalMonitor, Engine, EngineConfig, FaultAction, FaultKind, Monitor, MonitorSet,
+    Pid, PoissonFaults, Protocol, SimRng, TelemetryMonitor, Time, VictimPolicy,
 };
 use ftbarrier_telemetry::{CausalRecorder, Telemetry, TimeDomain};
 use ftbarrier_topology::membership::Membership;
@@ -177,146 +178,119 @@ pub fn run_classic_causal(
     )
 }
 
-/// The causal-armed run of [`run_dense`]: same engine configuration with a
-/// [`CausalMonitor`] attached, returning final states, stats, and the
-/// flight-recorder dump (the dense engine takes a single monitor, so the
-/// trace half of the differential stays with [`run_dense`]).
-pub fn run_dense_causal(
-    spec: TopologySpec,
+/// Undetectable fault that overwrites the victim with one of the protocol's
+/// own arbitrary states, so the protocol-generic differential can run a
+/// fault plan on any [`Protocol`].
+struct ArbitraryFault<'p, P>(&'p P);
+
+impl<P: Protocol> FaultAction<P::State> for ArbitraryFault<'_, P> {
+    fn kind(&self) -> FaultKind {
+        FaultKind::Undetectable
+    }
+
+    fn apply(&self, pid: Pid, state: &mut P::State, rng: &mut SimRng) {
+        *state = self.0.arbitrary_state(pid, rng);
+    }
+}
+
+/// One run of any protocol from a perturbed start under Poisson
+/// arbitrary-state faults (none at rate 0), with the trace, the engine
+/// telemetry monitor and a causal recorder attached. `armed` switches the
+/// telemetry and the recorder on; the causal dump is empty when it is off.
+fn run_protocol<P: Protocol>(
+    protocol: &P,
     seed: u64,
+    horizon: f64,
     fault_rate: f64,
-    workers: usize,
-) -> (Vec<PosState>, [u64; 3], String) {
-    let program =
-        SweepBarrier::new(spec.build().unwrap(), 8).with_costs(Time::new(0.02), Time::new(1.0));
-    let recorder = CausalRecorder::bounded(program.dag().num_positions(), CAUSAL_CAPACITY);
-    let mut cmon = CausalMonitor::from_protocol(&program, recorder.clone())
-        .with_phase(Box::new(|s: &PosState| Some(s.ph)));
-    let mut engine = DenseEngine::new(&program, seed).with_shards(4);
-    engine.perturb_all();
-    let cfg = DenseEngineConfig {
-        max_time: Some(Time::new(30.0)),
-        max_commits: Some(2_000_000),
-        workers: Some(workers),
-        parallel_threshold: 1,
-        ..Default::default()
-    };
-    let out = if fault_rate > 0.0 {
-        let mut faults =
-            ProcessFaults::new(&program, fault_rate, SweepDetectableFault { n_phases: 8 });
-        engine.run(&cfg, &mut faults, &mut cmon)
+    full_rescan: bool,
+    armed: bool,
+) -> (RunRecord<P::State>, String) {
+    let n = protocol.num_processes();
+    let (telemetry, recorder) = if armed {
+        (
+            Telemetry::recording(TimeDomain::Virtual),
+            CausalRecorder::bounded(n, CAUSAL_CAPACITY),
+        )
     } else {
-        engine.run(&cfg, &mut NoFaults, &mut cmon)
+        (Telemetry::off(), CausalRecorder::off())
     };
-    let dump = recorder.snapshot().to_flight_json(
-        "sweep",
-        program.dag().num_positions(),
-        "conformance",
-        "end-of-run",
-    );
+    let mut tmon = TelemetryMonitor::<P::State>::new(telemetry, n);
+    let mut cmon = CausalMonitor::from_protocol(protocol, recorder.clone());
+    let mut engine = Engine::new(protocol, seed);
+    engine.perturb_all();
+    let mut trace = Trace::unbounded();
+    let mut faults =
+        PoissonFaults::with_rate(fault_rate, VictimPolicy::Random, ArbitraryFault(protocol));
+    let cfg = differential_config(seed, horizon, full_rescan);
+    let out = {
+        let mut set = MonitorSet::new()
+            .with(&mut trace)
+            .with(&mut tmon)
+            .with(&mut cmon);
+        engine.run(&cfg, &mut faults, &mut set)
+    };
+    let dump = if armed {
+        recorder
+            .snapshot()
+            .to_flight_json("protocol", n, "conformance", "end-of-run")
+    } else {
+        String::new()
+    };
     (
-        engine.global_states(),
-        [
-            out.stats.actions_executed,
-            out.stats.commits_dropped,
-            out.stats.faults,
-        ],
+        (
+            trace.events().cloned().collect(),
+            engine.global().to_vec(),
+            [
+                out.stats.actions_executed,
+                out.stats.commits_dropped,
+                out.stats.faults,
+            ],
+        ),
         dump,
     )
 }
 
-/// The same run as [`run_classic`], executed on the sharded struct-of-arrays
-/// engine with the given worker count. Shard count is fixed (not derived
-/// from the worker count) so every worker configuration schedules the same
-/// shard boundaries — the trace must be identical for any worker count.
-pub fn run_dense(
-    spec: TopologySpec,
-    seed: u64,
-    fault_rate: f64,
-    workers: usize,
-) -> RunRecord<PosState> {
-    let program =
-        SweepBarrier::new(spec.build().unwrap(), 8).with_costs(Time::new(0.02), Time::new(1.0));
-    let mut engine = DenseEngine::new(&program, seed).with_shards(4);
-    engine.perturb_all();
-    let mut trace = Trace::unbounded();
-    let cfg = DenseEngineConfig {
-        max_time: Some(Time::new(30.0)),
-        max_commits: Some(2_000_000),
-        workers: Some(workers),
-        parallel_threshold: 1,
-        ..Default::default()
-    };
-    let out = if fault_rate > 0.0 {
-        let mut faults =
-            ProcessFaults::new(&program, fault_rate, SweepDetectableFault { n_phases: 8 });
-        engine.run(&cfg, &mut faults, &mut trace)
-    } else {
-        engine.run(&cfg, &mut NoFaults, &mut trace)
-    };
-    (
-        trace.events().cloned().collect(),
-        engine.global_states(),
-        [
-            out.stats.actions_executed,
-            out.stats.commits_dropped,
-            out.stats.faults,
-        ],
-    )
-}
-
-/// Protocol-generic engine differential: the classic engine and the sharded
-/// dense engine at workers {1, 2, 4} must produce byte-identical traces,
-/// final states, and stats from the same perturbed start — for **any**
-/// [`DenseProtocol`](ftbarrier_gcs::DenseProtocol), not just the sweep. Sibling protocols
-/// (`ftbarrier-protocols`) get the classic ≡ dense half of the conformance
-/// battery by calling this.
-pub fn check_protocol_classic_dense_differential<P>(
+/// Protocol-generic scheduler differential (checks 3 and 6 for **any**
+/// [`Protocol`], not just the sweep): from the same perturbed start, the
+/// incremental scheduler and the full-rescan reference produce
+/// byte-identical traces, final states, and stats, with and without an
+/// arbitrary-state fault plan, with telemetry and the causal recorder off
+/// and armed; the two armed runs dump byte-identical causal graphs. Sibling
+/// protocols (`ftbarrier-protocols`) get this half of the conformance
+/// battery by calling it.
+pub fn check_protocol_scheduler_differential<P: Protocol>(
     label: &str,
     protocol: &P,
     seed: u64,
     horizon: f64,
-) where
-    P: ftbarrier_gcs::DenseProtocol,
-{
-    let cfg = differential_config(seed, horizon, false);
-    let mut classic = Engine::new(protocol, seed);
-    classic.perturb_all();
-    let mut trace = Trace::unbounded();
-    let out = classic.run(&cfg, &mut NoFaults, &mut trace);
-    let reference: RunRecord<P::State> = (
-        trace.events().cloned().collect(),
-        classic.global().to_vec(),
-        [
-            out.stats.actions_executed,
-            out.stats.commits_dropped,
-            out.stats.faults,
-        ],
-    );
-    for workers in [1usize, 2, 4] {
-        let mut dense = DenseEngine::new(protocol, seed).with_shards(4);
-        dense.perturb_all();
-        let mut dtrace = Trace::unbounded();
-        let dcfg = DenseEngineConfig {
-            max_time: Some(Time::new(horizon)),
-            max_commits: Some(2_000_000),
-            workers: Some(workers),
-            parallel_threshold: 1,
-            ..Default::default()
-        };
-        let dout = dense.run(&dcfg, &mut NoFaults, &mut dtrace);
+) {
+    for fault_rate in [0.0, 0.3] {
+        let (reference, _) = run_protocol(protocol, seed, horizon, fault_rate, true, false);
+        let (incremental, _) = run_protocol(protocol, seed, horizon, fault_rate, false, false);
         assert_identical(
-            &format!("{label} dense w={workers}"),
-            (
-                dtrace.events().cloned().collect(),
-                dense.global_states(),
-                [
-                    dout.stats.actions_executed,
-                    dout.stats.commits_dropped,
-                    dout.stats.faults,
-                ],
-            ),
+            &format!("{label} f={fault_rate} incremental"),
+            incremental,
             reference.clone(),
+        );
+        let (armed_full, full_dump) = run_protocol(protocol, seed, horizon, fault_rate, true, true);
+        let (armed_inc, inc_dump) = run_protocol(protocol, seed, horizon, fault_rate, false, true);
+        assert_identical(
+            &format!("{label} f={fault_rate} armed full rescan"),
+            armed_full,
+            reference.clone(),
+        );
+        assert_identical(
+            &format!("{label} f={fault_rate} armed incremental"),
+            armed_inc,
+            reference,
+        );
+        assert!(
+            inc_dump.contains("\"schema\": \"flightrec/v1\""),
+            "{label}: dump missing schema stamp"
+        );
+        assert_eq!(
+            inc_dump, full_dump,
+            "{label} f={fault_rate}: causal dumps diverge between the schedulers"
         );
     }
 }
@@ -556,10 +530,10 @@ pub fn check_legal_set_structure(spec: TopologySpec) {
     }
 }
 
-/// Conformance check 3: classic incremental ≡ classic full-rescan ≡ dense
-/// engine at workers {1, 2, 4}, with and without a fault plan, telemetry on
-/// and off — all byte-identical.
-pub fn check_classic_dense_differential(spec: TopologySpec) {
+/// Conformance check 3: the incremental scheduler ≡ the full-rescan
+/// reference, with and without a fault plan, telemetry on and off (on
+/// both schedulers) — all byte-identical.
+pub fn check_scheduler_differential(spec: TopologySpec) {
     let label = spec.label();
     let seed = 0xC0DE;
     for fault_rate in [0.0, 0.3] {
@@ -569,23 +543,18 @@ pub fn check_classic_dense_differential(spec: TopologySpec) {
             run_classic(spec, seed, fault_rate, false),
             reference.clone(),
         );
-        for workers in [1usize, 2, 4] {
+        for full_rescan in [false, true] {
+            let tele = Telemetry::recording(TimeDomain::Virtual);
             assert_identical(
-                &format!("{label} f={fault_rate} dense w={workers}"),
-                run_dense(spec, seed, fault_rate, workers),
+                &format!("{label} f={fault_rate} telemetry full_rescan={full_rescan}"),
+                run_classic_telemetry(spec, seed, fault_rate, full_rescan, &tele),
                 reference.clone(),
             );
+            assert!(
+                !tele.snapshot().metrics.is_empty(),
+                "{label}: telemetry recorded nothing"
+            );
         }
-        let tele = Telemetry::recording(TimeDomain::Virtual);
-        assert_identical(
-            &format!("{label} f={fault_rate} telemetry"),
-            run_classic_telemetry(spec, seed, fault_rate, false, &tele),
-            reference,
-        );
-        assert!(
-            !tele.snapshot().metrics.is_empty(),
-            "{label}: telemetry recorded nothing"
-        );
     }
 }
 
@@ -728,44 +697,39 @@ pub fn check_churn_splice_graft(spec: TopologySpec) {
     );
 }
 
-/// Conformance check 6: causal-graph determinism across engines.
+/// Conformance check 6: causal-graph determinism across the schedulers.
 ///
 /// With a causal recorder (the flight-recorder configuration) armed, the
-/// classic engine and the dense engine at every worker count must produce
+/// incremental scheduler and the full-rescan reference must produce
 /// **byte-identical** flight-recorder dumps for the same seed — the causal
-/// graph is part of the deterministic output, not a best-effort log. The
-/// causal-armed classic run must also stay byte-identical to the plain
-/// reference run: recording happens-before edges is a pure observation.
-pub fn check_causal_determinism(spec: TopologySpec) {
+/// graph is part of the deterministic output, not a best-effort log. Both
+/// causal-armed runs must also stay byte-identical to the plain reference
+/// run: recording happens-before edges is a pure observation.
+pub fn check_causal_scheduler_differential(spec: TopologySpec) {
     let label = spec.label();
     let seed = 0xCA05;
     for fault_rate in [0.0, 0.3] {
         let reference = run_classic(spec, seed, fault_rate, true);
-        let (record, classic_dump) = run_classic_causal(spec, seed, fault_rate, false);
+        let (record, incremental_dump) = run_classic_causal(spec, seed, fault_rate, false);
         assert_identical(
-            &format!("{label} f={fault_rate} causal-armed"),
+            &format!("{label} f={fault_rate} causal-armed incremental"),
             record,
             reference.clone(),
         );
         assert!(
-            classic_dump.contains("\"schema\": \"flightrec/v1\""),
+            incremental_dump.contains("\"schema\": \"flightrec/v1\""),
             "{label}: dump missing schema stamp"
         );
-        for workers in [1usize, 2, 4] {
-            let (states, stats, dense_dump) = run_dense_causal(spec, seed, fault_rate, workers);
-            assert_eq!(
-                classic_dump, dense_dump,
-                "{label} f={fault_rate} dense w={workers}: causal dumps diverge"
-            );
-            assert_eq!(
-                states, reference.1,
-                "{label} f={fault_rate} dense w={workers}: final states diverge"
-            );
-            assert_eq!(
-                stats, reference.2,
-                "{label} f={fault_rate} dense w={workers}: stats diverge"
-            );
-        }
+        let (record, full_dump) = run_classic_causal(spec, seed, fault_rate, true);
+        assert_identical(
+            &format!("{label} f={fault_rate} causal-armed full rescan"),
+            record,
+            reference,
+        );
+        assert_eq!(
+            incremental_dump, full_dump,
+            "{label} f={fault_rate}: causal dumps diverge between the schedulers"
+        );
     }
 }
 
@@ -774,8 +738,8 @@ pub fn check_causal_determinism(spec: TopologySpec) {
 pub fn check_conformance(spec: TopologySpec) {
     check_sweep_completeness(spec);
     check_legal_set_structure(spec);
-    check_classic_dense_differential(spec);
+    check_scheduler_differential(spec);
     check_fault_recovery(spec);
     check_churn_splice_graft(spec);
-    check_causal_determinism(spec);
+    check_causal_scheduler_differential(spec);
 }

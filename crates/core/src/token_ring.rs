@@ -149,21 +149,6 @@ impl Protocol for TokenRing {
     }
 }
 
-// `Vec<Sn>` is already a single flat lane (the state *is* one sequence
-// number), so the array-of-structs layout doubles as the dense layout; this
-// impl exists to run the ring on the sharded engine.
-impl ftbarrier_gcs::DenseProtocol for TokenRing {
-    type Dense = Vec<Sn>;
-
-    fn dense_enabled(&self, dense: &Vec<Sn>, j: Pid, action: ActionId) -> bool {
-        self.enabled(dense, j, action)
-    }
-
-    fn dense_execute(&self, dense: &Vec<Sn>, j: Pid, action: ActionId, rng: &mut SimRng) -> Sn {
-        self.execute(dense, j, action, rng)
-    }
-}
-
 /// Detectable fault: "when the sequence number of a process is corrupted,
 /// it is set to ⊥".
 #[derive(Debug, Clone, Copy)]

@@ -3,9 +3,10 @@
 //! Every sweep topology family must pass the full `testkit` battery:
 //! sweep-completeness, legal-set/coset structure (including adversarial
 //! sequence-number domains with `gcd(3, L) ≠ 1` — the PR-5 audit pitfall),
-//! byte-identical classic-vs-dense traces across worker counts, fault-plan
-//! masking and stabilization, churn splice/graft, and byte-identical causal
-//! happens-before dumps with the flight recorder armed. One test per family
+//! byte-identical incremental-vs-full-rescan traces with and without faults
+//! and telemetry, fault-plan masking and stabilization, churn splice/graft,
+//! and byte-identical causal happens-before dumps across the schedulers with
+//! the flight recorder armed. One test per family
 //! so failures localize and the families run in parallel.
 //!
 //! Adding a topology? Add its `TopologySpec` here and it inherits the whole

@@ -16,14 +16,14 @@ use ftbarrier_core::spec::Anchor;
 use ftbarrier_core::sweep::{PosState, SweepBarrier};
 use ftbarrier_core::testkit::{
     assert_identical, differential_config as config, run_classic as run_sweep,
-    run_classic_telemetry as run_sweep_telemetry, run_dense as run_sweep_dense, RunRecord,
+    run_classic_telemetry as run_sweep_telemetry, RunRecord,
 };
 use ftbarrier_core::token_ring::TokenRing;
 use ftbarrier_core::Sn;
 use ftbarrier_gcs::fault::NoFaults;
 use ftbarrier_gcs::monitor::MonitorSet;
 use ftbarrier_gcs::trace::{Trace, TraceEvent};
-use ftbarrier_gcs::{DenseEngine, DenseEngineConfig, Engine, EngineConfig, Time};
+use ftbarrier_gcs::{Engine, EngineConfig, Time};
 use ftbarrier_telemetry::{Telemetry, TimeDomain};
 
 fn run_token_ring(seed: u64, full_rescan: bool) -> RunRecord<Sn> {
@@ -92,73 +92,6 @@ fn token_ring_matches_full_rescan() {
             run_token_ring(seed, false),
             run_token_ring(seed, true),
         );
-    }
-}
-
-#[test]
-fn dense_engine_matches_classic_without_faults() {
-    for (name, spec) in TOPOLOGIES {
-        for seed in [0x5A01u64, 0x5A02] {
-            let classic = run_sweep(spec, seed, 0.0, false);
-            for workers in [1usize, 2, 4] {
-                assert_identical(
-                    &format!("{name} dense w={workers} seed {seed:#x}"),
-                    run_sweep_dense(spec, seed, 0.0, workers),
-                    classic.clone(),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn dense_engine_matches_classic_under_process_faults() {
-    for (name, spec) in TOPOLOGIES {
-        for seed in [0x5B01u64, 0x5B02] {
-            let classic = run_sweep(spec, seed, 0.3, false);
-            for workers in [1usize, 2, 4] {
-                assert_identical(
-                    &format!("{name} dense faulted w={workers} seed {seed:#x}"),
-                    run_sweep_dense(spec, seed, 0.3, workers),
-                    classic.clone(),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn dense_token_ring_matches_classic() {
-    for seed in [7u64, 8] {
-        let classic = run_token_ring(seed, false);
-        for workers in [1usize, 2, 4] {
-            let mut program = TokenRing::new(7);
-            program.hop_cost = Time::new(0.05);
-            let mut engine = DenseEngine::new(&program, seed).with_shards(3);
-            engine.perturb_all();
-            let mut trace = Trace::unbounded();
-            let cfg = DenseEngineConfig {
-                max_time: Some(Time::new(25.0)),
-                max_commits: Some(2_000_000),
-                workers: Some(workers),
-                parallel_threshold: 1,
-                ..Default::default()
-            };
-            let out = engine.run(&cfg, &mut NoFaults, &mut trace);
-            assert_identical(
-                &format!("token ring dense w={workers} seed {seed}"),
-                (
-                    trace.events().cloned().collect(),
-                    engine.global_states(),
-                    [
-                        out.stats.actions_executed,
-                        out.stats.commits_dropped,
-                        out.stats.faults,
-                    ],
-                ),
-                classic.clone(),
-            );
-        }
     }
 }
 

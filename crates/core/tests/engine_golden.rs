@@ -1,9 +1,8 @@
 //! Golden runs of the executors.
 //!
 //! The differential suite compares the incremental scheduler against the
-//! full rescan and the classic engine against the dense one; a change to
-//! guard evaluation that every executor shares would pass all of those
-//! comparisons. These tests pin each run to an absolute value instead: an
+//! full rescan; a change to guard evaluation that every executor shares
+//! would pass that comparison. These tests pin each run to an absolute value instead: an
 //! FNV-1a hash over the `Debug` rendering of the trace events, the final
 //! global state and the run statistics (action and fault counts, dropped
 //! commits, the per-action histogram). The hashes were recorded before the
@@ -18,14 +17,13 @@ use std::fmt::{Debug, Write};
 
 use ftbarrier_core::sim::{measure_phases, PhaseExperiment, TopologySpec};
 use ftbarrier_core::sweep::{
-    PosState, ProcessFaults, SweepBarrier, SweepDetectableFault, SweepSoa, POSTWORK, RECV, T3, T4,
-    T5, WORK,
+    PosState, ProcessFaults, SweepBarrier, SweepDetectableFault, POSTWORK, RECV, T3, T4, T5, WORK,
 };
 use ftbarrier_gcs::fault::NoFaults;
 use ftbarrier_gcs::trace::Trace;
 use ftbarrier_gcs::{
-    ActionId, ChoicePolicy, DenseProtocol, DenseState, Engine, EngineConfig, Interleaving,
-    InterleavingConfig, Masked, Protocol, RunStats, SimRng, Time,
+    ActionId, ChoicePolicy, Engine, EngineConfig, Interleaving, InterleavingConfig, Masked,
+    Protocol, RunStats, SimRng, Time,
 };
 
 /// 64-bit FNV-1a over everything written into it.
@@ -345,7 +343,7 @@ const SAMPLES: usize = 10_000;
 #[test]
 fn fused_enabled_actions_equal_filtering_enabled() {
     let mut rng = SimRng::seed_from_u64(0xF05E);
-    let (mut fused, mut dense, mut masked_fused) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut fused, mut masked_fused) = (Vec::new(), Vec::new());
     for topology in SHAPES {
         for split in [None, Some((0.5, 0.5))] {
             let base = program(topology, split);
@@ -364,18 +362,15 @@ fn fused_enabled_actions_equal_filtering_enabled() {
                     let global: Vec<PosState> = (0..positions)
                         .map(|pos| program.arbitrary_state(pos, &mut rng))
                         .collect();
-                    let soa = SweepSoa::from_states(&global);
                     for pos in 0..positions {
                         let filtered: Vec<ActionId> = (0..program.num_actions(pos))
                             .filter(|&a| program.enabled(&global, pos, a))
                             .collect();
                         program.enabled_actions(&global, pos, &mut fused);
-                        program.dense_enabled_actions(&soa, pos, &mut dense);
                         masked.enabled_actions(&global, pos, &mut masked_fused);
                         let context =
                             || format!("{topology:?} split {split:?} pos {pos} in {global:?}");
                         assert_eq!(fused, filtered, "enabled_actions: {}", context());
-                        assert_eq!(dense, filtered, "dense_enabled_actions: {}", context());
                         let masked_filtered: Vec<ActionId> = (0..masked.num_actions(pos))
                             .filter(|&a| masked.enabled(&global, pos, a))
                             .collect();

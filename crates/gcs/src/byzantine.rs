@@ -24,12 +24,9 @@
 //!   Byzantine" (stabilization applies) from "persistent Byzantine"
 //!   (quarantine must win the race instead).
 //!
-//! Like every plan in this crate, the slice ([`FaultPlan`]) and dense
-//! ([`DenseFaultPlan`]) implementations make exactly the same RNG draws in
-//! exactly the same order: the attacker draw, the arsenal draw, then the
-//! action's own draws per slot ascending.
+//! Each event draws from the engine RNG in a fixed order: the attacker, the
+//! arsenal entry, then the action's own draws per slot ascending.
 
-use crate::dense::{DenseFaultPlan, DenseState};
 use crate::fault::{FaultAction, FaultHit, FaultPlan};
 use crate::protocol::Pid;
 use crate::rng::SimRng;
@@ -120,9 +117,10 @@ impl<S> ByzantineFaults<S> {
             .filter(|&i| self.attackers[i].budget > 0)
             .collect()
     }
+}
 
-    /// Shared peek logic (identical for slice and dense paths).
-    fn peek_impl(&mut self, now: Time, rng: &mut SimRng) -> Option<Time> {
+impl<S: Clone> FaultPlan<S> for ByzantineFaults<S> {
+    fn peek(&mut self, now: Time, rng: &mut SimRng) -> Option<Time> {
         if self.rate == 0.0 || self.armed().is_empty() {
             return None;
         }
@@ -136,24 +134,6 @@ impl<S> ByzantineFaults<S> {
         self.next
     }
 
-    /// Draw the attacker and arsenal indices for the pending event. The two
-    /// draws happen in this order on both the slice and dense paths.
-    fn draw_attack(&mut self, rng: &mut SimRng) -> (usize, usize) {
-        let armed = self.armed();
-        let attacker = armed[rng.below(armed.len())];
-        let weapon = rng.below(self.arsenal.len());
-        self.attackers[attacker].budget -= 1;
-        self.spent += 1;
-        self.next = None;
-        (attacker, weapon)
-    }
-}
-
-impl<S: Clone> FaultPlan<S> for ByzantineFaults<S> {
-    fn peek(&mut self, now: Time, rng: &mut SimRng) -> Option<Time> {
-        self.peek_impl(now, rng)
-    }
-
     fn fire(
         &mut self,
         _at: Time,
@@ -161,48 +141,17 @@ impl<S: Clone> FaultPlan<S> for ByzantineFaults<S> {
         rng: &mut SimRng,
         touched: &mut Vec<Pid>,
     ) -> FaultHit<S> {
-        let (attacker, weapon) = self.draw_attack(rng);
+        let armed = self.armed();
+        let attacker = armed[rng.below(armed.len())];
+        let weapon = rng.below(self.arsenal.len());
+        self.attackers[attacker].budget -= 1;
+        self.spent += 1;
+        self.next = None;
         let a = &self.attackers[attacker];
         let action = &self.arsenal[weapon];
         let old = global[a.positions[0]].clone();
         for &pos in &a.positions {
             action.apply(a.pid, &mut global[pos], rng);
-            touched.push(pos);
-        }
-        FaultHit {
-            pid: a.positions[0],
-            kind: action.kind(),
-            old,
-        }
-    }
-}
-
-// Dense counterpart: identical RNG draws in identical order (attacker,
-// arsenal, then the action's draws per slot ascending).
-impl<D, S> DenseFaultPlan<D> for ByzantineFaults<S>
-where
-    D: DenseState<Elem = S>,
-    S: Copy + PartialEq + std::fmt::Debug + Send + Sync,
-{
-    fn peek(&mut self, now: Time, rng: &mut SimRng) -> Option<Time> {
-        self.peek_impl(now, rng)
-    }
-
-    fn fire(
-        &mut self,
-        _at: Time,
-        dense: &mut D,
-        rng: &mut SimRng,
-        touched: &mut Vec<Pid>,
-    ) -> FaultHit<S> {
-        let (attacker, weapon) = self.draw_attack(rng);
-        let a = &self.attackers[attacker];
-        let action = &self.arsenal[weapon];
-        let old = dense.get(a.positions[0]);
-        for &pos in &a.positions {
-            let mut s = dense.get(pos);
-            action.apply(a.pid, &mut s, rng);
-            dense.set(pos, s);
             touched.push(pos);
         }
         FaultHit {
@@ -294,38 +243,5 @@ mod tests {
             assert_eq!(hit.pid, 2);
         }
         assert_eq!(g[0], 0);
-    }
-
-    #[test]
-    fn classic_and_dense_schedules_match_draw_for_draw() {
-        let attackers = || {
-            vec![
-                ByzantineProcess::with_positions(1, vec![1, 4], 3),
-                ByzantineProcess::new(2, 2),
-            ]
-        };
-        let mut classic = plan(attackers());
-        let mut dense_plan = plan(attackers());
-        let mut rng_c = SimRng::seed_from_u64(42);
-        let mut rng_d = SimRng::seed_from_u64(42);
-        let mut g: Vec<u64> = vec![0; 5];
-        let mut d: Vec<u64> = DenseState::from_states(&g);
-        let mut now = Time::ZERO;
-        loop {
-            let tc = FaultPlan::peek(&mut classic, now, &mut rng_c);
-            let td = DenseFaultPlan::<Vec<u64>>::peek(&mut dense_plan, now, &mut rng_d);
-            assert_eq!(tc, td);
-            let Some(at) = tc else { break };
-            let mut touched_c = Vec::new();
-            let mut touched_d = Vec::new();
-            let hc = FaultPlan::fire(&mut classic, at, &mut g, &mut rng_c, &mut touched_c);
-            let hd = DenseFaultPlan::fire(&mut dense_plan, at, &mut d, &mut rng_d, &mut touched_d);
-            assert_eq!(hc, hd);
-            assert_eq!(touched_c, touched_d);
-            assert_eq!(g, d.to_states());
-            now = at;
-        }
-        assert_eq!(classic.spent(), 5, "both budgets fully drained");
-        assert_eq!(classic.budgets(), dense_plan.budgets());
     }
 }

@@ -9,18 +9,16 @@
 //! have observed — plus `pid`'s own previous event (program order).
 //! Faults link to the victim's own previous event only.
 //!
-//! The monitor implements both [`Monitor`] (classic engine) and
-//! [`DenseMonitor`] (sharded struct-of-arrays engine). Both engines fire
-//! transition callbacks in the same committed order — pinned by the
-//! byte-identity differential suite — so the causal dumps of a classic
-//! and a dense run of the same seed are byte-identical too (the
-//! `core::testkit` conformance battery asserts exactly that).
+//! The engine's incremental and full-rescan schedulers fire transition
+//! callbacks in the same committed order — pinned by the byte-identity
+//! differential suite — so the causal dumps of the two schedulers on the
+//! same seed are byte-identical too (the `core::testkit` conformance
+//! battery asserts exactly that).
 //!
 //! Like every monitor this is a pure observer: with a disabled recorder
 //! every hook is a single branch, and an enabled recorder never touches
 //! engine RNG or scheduling.
 
-use crate::dense::{DenseMonitor, DenseProtocol};
 use crate::fault::FaultKind;
 use crate::monitor::Monitor;
 use crate::protocol::{ActionId, Pid, Protocol, ReaderSet};
@@ -105,34 +103,6 @@ impl<S> CausalMonitor<S> {
     pub fn recorder(&self) -> &CausalRecorder {
         &self.recorder
     }
-
-    fn observe(&mut self, now: Time, pid: Pid, label: &'static str, new: &S) {
-        if !self.recorder.is_enabled() {
-            return;
-        }
-        self.scratch.clear();
-        for &q in &self.reads[pid] {
-            if let Some(id) = self.recorder.last(q) {
-                self.scratch.push(id);
-            }
-        }
-        let phase = self.phase_of.as_ref().and_then(|f| f(new));
-        self.recorder
-            .record(pid, label, now.as_f64(), phase, &self.scratch);
-    }
-
-    fn observe_fault(&mut self, now: Time, pid: Pid, kind: FaultKind, new: &S) {
-        if !self.recorder.is_enabled() {
-            return;
-        }
-        let label = match kind {
-            FaultKind::Detectable => "fault:detectable",
-            FaultKind::Undetectable => "fault:undetectable",
-        };
-        let phase = self.phase_of.as_ref().and_then(|f| f(new));
-        self.recorder
-            .record_next(pid, label, now.as_f64(), phase, &[]);
-    }
 }
 
 impl<S> Monitor<S> for CausalMonitor<S> {
@@ -146,38 +116,31 @@ impl<S> Monitor<S> for CausalMonitor<S> {
         new: &S,
         _global: &[S],
     ) {
-        self.observe(now, pid, name, new);
+        if !self.recorder.is_enabled() {
+            return;
+        }
+        self.scratch.clear();
+        for &q in &self.reads[pid] {
+            if let Some(id) = self.recorder.last(q) {
+                self.scratch.push(id);
+            }
+        }
+        let phase = self.phase_of.as_ref().and_then(|f| f(new));
+        self.recorder
+            .record(pid, name, now.as_f64(), phase, &self.scratch);
     }
 
     fn on_fault(&mut self, now: Time, pid: Pid, kind: FaultKind, _old: &S, new: &S, _global: &[S]) {
-        self.observe_fault(now, pid, kind, new);
-    }
-}
-
-impl<P: DenseProtocol> DenseMonitor<P> for CausalMonitor<P::State> {
-    fn on_transition(
-        &mut self,
-        now: Time,
-        pid: Pid,
-        _action: ActionId,
-        name: &'static str,
-        _old: &P::State,
-        new: &P::State,
-        _dense: &P::Dense,
-    ) {
-        self.observe(now, pid, name, new);
-    }
-
-    fn on_fault(
-        &mut self,
-        now: Time,
-        pid: Pid,
-        kind: FaultKind,
-        _old: &P::State,
-        new: &P::State,
-        _dense: &P::Dense,
-    ) {
-        self.observe_fault(now, pid, kind, new);
+        if !self.recorder.is_enabled() {
+            return;
+        }
+        let label = match kind {
+            FaultKind::Detectable => "fault:detectable",
+            FaultKind::Undetectable => "fault:undetectable",
+        };
+        let phase = self.phase_of.as_ref().and_then(|f| f(new));
+        self.recorder
+            .record_next(pid, label, now.as_f64(), phase, &[]);
     }
 }
 

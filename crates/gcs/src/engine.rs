@@ -71,8 +71,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::fault::FaultPlan;
-use crate::monitor::Monitor;
+use crate::fault::{FaultPlan, NoFaults};
+use crate::monitor::{Monitor, NullMonitor};
 use crate::protocol::{ActionId, Pid, Protocol, ReaderSet};
 use crate::rng::SimRng;
 use crate::stats::RunStats;
@@ -532,6 +532,37 @@ impl<'p, P: Protocol> Engine<'p, P> {
     }
 }
 
+/// Exists only for the benchmark's two `gcs.dense_events_per_s.*` rows, which
+/// now time the classic [`Engine`] (the sharded engine is gone); the shim and
+/// those rows go together in the next benchmark change (ROADMAP 11(a)).
+pub struct DenseEngine<'p, P: Protocol>(Engine<'p, P>);
+
+#[derive(Debug, Clone, Default)]
+pub struct DenseEngineConfig {
+    pub max_commits: Option<u64>,
+    pub workers: Option<usize>,
+}
+
+impl<'p, P: Protocol> DenseEngine<'p, P> {
+    pub fn new(protocol: &'p P, seed: u64) -> Self {
+        DenseEngine(Engine::new(protocol, seed))
+    }
+
+    pub fn run(
+        &mut self,
+        c: &DenseEngineConfig,
+        f: &mut NoFaults,
+        m: &mut NullMonitor,
+    ) -> RunOutcome {
+        assert!(c.workers.unwrap_or(1) == 1, "DenseEngineConfig.workers ≠ 1");
+        let config = EngineConfig {
+            max_commits: c.max_commits,
+            ..EngineConfig::default()
+        };
+        self.0.run(&config, f, m)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -778,5 +809,125 @@ mod tests {
             out.stats.count_of("bottom") + out.stats.count_of("other"),
             9
         );
+    }
+
+    /// Two actions that are both enabled until `limit`, so nearly every
+    /// commit draws its action from the RNG: the schedulers must agree on
+    /// those choice draws as well as on the commits.
+    struct TwoTick {
+        n: usize,
+        limit: u64,
+    }
+
+    impl Protocol for TwoTick {
+        type State = u64;
+
+        fn num_processes(&self) -> usize {
+            self.n
+        }
+        fn num_actions(&self, _pid: Pid) -> usize {
+            2
+        }
+        fn action_name(&self, _pid: Pid, action: ActionId) -> &'static str {
+            if action == 0 {
+                "tick1"
+            } else {
+                "tick2"
+            }
+        }
+        fn enabled(&self, global: &[u64], pid: Pid, _action: ActionId) -> bool {
+            global[pid] < self.limit
+        }
+        fn execute(&self, global: &[u64], pid: Pid, action: ActionId, _rng: &mut SimRng) -> u64 {
+            global[pid] + if action == 0 { 1 } else { 2 }
+        }
+        fn cost(&self, _pid: Pid, action: ActionId) -> Time {
+            if action == 0 {
+                Time::new(0.5)
+            } else {
+                Time::new(0.75)
+            }
+        }
+        fn initial_state(&self) -> Vec<u64> {
+            vec![0; self.n]
+        }
+        fn arbitrary_state(&self, _pid: Pid, rng: &mut SimRng) -> u64 {
+            rng.range_u64(0, self.limit + 2)
+        }
+        fn readers_of(&self, pid: Pid) -> ReaderSet {
+            ReaderSet::These(vec![pid])
+        }
+    }
+
+    #[test]
+    fn two_tick_choice_draws_match_full_rescan() {
+        let tt = TwoTick { n: 13, limit: 40 };
+        for (rate, perturb) in [(0.0, false), (0.4, true)] {
+            for seed in [3u64, 4] {
+                let run = |full_rescan: bool| {
+                    let mut engine = Engine::new(&tt, seed);
+                    if perturb {
+                        engine.perturb_all();
+                    }
+                    let mut trace = Trace::unbounded();
+                    let mut faults = PoissonFaults::with_rate(rate, VictimPolicy::Random, Scramble);
+                    let config = EngineConfig {
+                        max_time: Some(Time::new(35.0)),
+                        full_rescan,
+                        ..Default::default()
+                    };
+                    let out = engine.run(&config, &mut faults, &mut trace);
+                    let events: Vec<_> = trace.events().cloned().collect();
+                    (out, engine.global().to_vec(), events)
+                };
+                let (inc, full) = (run(false), run(true));
+                assert_eq!(inc, full, "seed {seed}, rate {rate}");
+                assert!(
+                    inc.0.stats.count_of("tick1") > 0 && inc.0.stats.count_of("tick2") > 0,
+                    "both actions were drawn (seed {seed}, rate {rate})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn max_commits_is_honored() {
+        let tt = TwoTick { n: 8, limit: 1000 };
+        let mut engine = Engine::new(&tt, 1);
+        let config = EngineConfig {
+            max_commits: Some(20),
+            ..Default::default()
+        };
+        let out = engine.run(&config, &mut NoFaults, &mut NullMonitor);
+        assert_eq!(out.reason, StopReason::MaxCommits);
+        // A step commits all its maturing actions, so the run can overshoot
+        // the budget by at most one step's worth.
+        assert!((20..20 + 8).contains(&out.stats.actions_executed));
+    }
+
+    #[test]
+    fn dense_engine_shim_is_the_classic_engine_on_one_thread() {
+        let r = ring(16, 0.25);
+        let run = |workers| {
+            let config = DenseEngineConfig {
+                max_commits: Some(500),
+                workers,
+            };
+            DenseEngine::new(&r, 7).run(&config, &mut NoFaults, &mut NullMonitor)
+        };
+        let classic = Engine::new(&r, 7).run(
+            &EngineConfig {
+                max_commits: Some(500),
+                ..Default::default()
+            },
+            &mut NoFaults,
+            &mut NullMonitor,
+        );
+        assert_eq!(run(None).stats, classic.stats);
+        assert_eq!(run(Some(1)).stats, classic.stats);
+        let refused = std::panic::catch_unwind(|| run(Some(2)));
+        let message = refused.expect_err("workers: Some(2) must be refused");
+        let message = message.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(message.contains("DenseEngineConfig.workers"), "{message}");
     }
 }

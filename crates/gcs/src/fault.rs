@@ -228,81 +228,6 @@ impl<S: Clone> FaultPlan<S> for ScriptedFaults<S> {
     }
 }
 
-// Dense counterparts. These must make exactly the same RNG draws in exactly
-// the same order as the slice impls above, so a dense run's fault schedule
-// matches the classic engine's draw for draw.
-
-impl<D, A> crate::dense::DenseFaultPlan<D> for PoissonFaults<A>
-where
-    D: crate::dense::DenseState,
-    A: FaultAction<D::Elem>,
-{
-    fn peek(&mut self, now: Time, rng: &mut SimRng) -> Option<Time> {
-        if self.rate == 0.0 {
-            return None;
-        }
-        if self.next.is_none() {
-            let dt = rng.exponential(self.rate);
-            if !dt.is_finite() {
-                return None;
-            }
-            self.next = Some(now + Time::new(dt));
-        }
-        self.next
-    }
-
-    fn fire(
-        &mut self,
-        _at: Time,
-        dense: &mut D,
-        rng: &mut SimRng,
-        touched: &mut Vec<Pid>,
-    ) -> FaultHit<D::Elem> {
-        let pid = self.victims.pick(dense.len(), rng);
-        let old = dense.get(pid);
-        let mut state = old;
-        self.action.apply(pid, &mut state, rng);
-        dense.set(pid, state);
-        self.next = None;
-        touched.push(pid);
-        FaultHit {
-            pid,
-            kind: self.action.kind(),
-            old,
-        }
-    }
-}
-
-impl<D> crate::dense::DenseFaultPlan<D> for ScriptedFaults<D::Elem>
-where
-    D: crate::dense::DenseState,
-{
-    fn peek(&mut self, _now: Time, _rng: &mut SimRng) -> Option<Time> {
-        self.script.get(self.cursor).map(|e| e.at)
-    }
-
-    fn fire(
-        &mut self,
-        _at: Time,
-        dense: &mut D,
-        rng: &mut SimRng,
-        touched: &mut Vec<Pid>,
-    ) -> FaultHit<D::Elem> {
-        let entry = &self.script[self.cursor];
-        self.cursor += 1;
-        let old = dense.get(entry.pid);
-        let mut state = old;
-        entry.action.apply(entry.pid, &mut state, rng);
-        dense.set(entry.pid, state);
-        touched.push(entry.pid);
-        FaultHit {
-            pid: entry.pid,
-            kind: entry.action.kind(),
-            old,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

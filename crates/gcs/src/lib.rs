@@ -18,6 +18,9 @@
 //!   real-time costs used for the performance evaluation (§6): "in each step
 //!   every process executes one of its enabled actions unless all its actions
 //!   are disabled", where each action takes a configurable amount of real time.
+//!   It is the crate's one timed engine: its incremental scheduler and its
+//!   full-rescan reference ([`EngineConfig::full_rescan`]) are held
+//!   byte-identical by the differential suites.
 //!
 //! Faults are modeled as the paper models them — extra actions that perturb a
 //! process's state — and are injected by a [`fault::FaultPlan`] (Poisson
@@ -26,8 +29,6 @@
 
 pub mod byzantine;
 pub mod causal;
-pub mod dense;
-pub mod dense_engine;
 pub mod engine;
 pub mod explore;
 pub mod fault;
@@ -40,13 +41,10 @@ pub mod stats;
 pub mod telemetry;
 pub mod time;
 pub mod trace;
-pub mod workers;
 
 pub use byzantine::{ByzantineFaults, ByzantineProcess};
 pub use causal::{CausalMonitor, CausalPhaseProjector};
-pub use dense::{DenseFaultPlan, DenseMonitor, DenseProtocol, DenseState};
-pub use dense_engine::{DenseEngine, DenseEngineConfig};
-pub use engine::{Engine, EngineConfig, RunOutcome, StopReason};
+pub use engine::{DenseEngine, DenseEngineConfig, Engine, EngineConfig, RunOutcome, StopReason};
 pub use explore::{
     universe, CheckFailure, CounterExample, Exploration, Explorer, NotClosed, StabilizationReport,
     StuckKind,
@@ -64,4 +62,3 @@ pub use stats::RunStats;
 pub use telemetry::{PhaseProjector, TelemetryMonitor};
 pub use time::Time;
 pub use trace::{Trace, TraceEvent};
-pub use workers::{available_parallelism, parse_workers, worker_count};

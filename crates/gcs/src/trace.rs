@@ -136,50 +136,6 @@ impl<S: Clone> Monitor<S> for Trace<S> {
     }
 }
 
-// The dense engine ignores nothing a trace cares about: both engines report
-// the same (time, pid, action, name, old, new) tuples and the trace never
-// reads the global state, so a classic and a dense run of the same seed
-// produce equal `Trace`s — the differential tests compare them directly.
-impl<P: crate::dense::DenseProtocol> crate::dense::DenseMonitor<P> for Trace<P::State> {
-    fn on_transition(
-        &mut self,
-        now: Time,
-        pid: Pid,
-        action: ActionId,
-        name: &'static str,
-        old: &P::State,
-        new: &P::State,
-        _dense: &P::Dense,
-    ) {
-        self.push(TraceEvent::Transition {
-            now,
-            pid,
-            action,
-            name: name.to_owned(),
-            old: *old,
-            new: *new,
-        });
-    }
-
-    fn on_fault(
-        &mut self,
-        now: Time,
-        pid: Pid,
-        kind: FaultKind,
-        old: &P::State,
-        new: &P::State,
-        _dense: &P::Dense,
-    ) {
-        self.push(TraceEvent::Fault {
-            now,
-            pid,
-            kind,
-            old: *old,
-            new: *new,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,11 +19,10 @@
 //!   interleaving the same rule can be kept out of agreement forever, which
 //!   is exactly the gap the self-stabilizing counting literature addresses.
 //!
-//! Both protocols implement [`ftbarrier_gcs::Protocol`] *and*
-//! [`ftbarrier_gcs::DenseProtocol`] (classic and struct-of-arrays engines),
-//! declare honest [`ftbarrier_gcs::Protocol::readers_of`] sets, and are
-//! exercised by the engine-differential conformance check in
-//! `ftbarrier_core::testkit` plus Byzantine tests built on
+//! Both protocols implement [`ftbarrier_gcs::Protocol`], declare honest
+//! [`ftbarrier_gcs::Protocol::readers_of`] sets, and are exercised by the
+//! scheduler-differential conformance check in `ftbarrier_core::testkit`
+//! (incremental ≡ full rescan) plus Byzantine tests built on
 //! `ftbarrier_core::faults::WithByzantine`.
 
 pub mod safra;

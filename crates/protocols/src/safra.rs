@@ -30,7 +30,7 @@
 //! adversary, not more clean rounds; the test pins the limitation so the
 //! motivation stays honest.
 
-use ftbarrier_gcs::{ActionId, DenseProtocol, Pid, Protocol, ReaderSet, SimRng, Time};
+use ftbarrier_gcs::{ActionId, Pid, Protocol, ReaderSet, SimRng, Time};
 
 /// Pass the token (adopt `tsn`, accumulate taint; the root judges instead).
 pub const PASS: ActionId = 0;
@@ -218,23 +218,5 @@ impl Protocol for SafraRing {
         // (token detection, taint adoption, stealing) — same footprint as
         // the barrier's token ring.
         ReaderSet::These(vec![pid, (pid + 1) % self.n])
-    }
-}
-
-impl DenseProtocol for SafraRing {
-    type Dense = Vec<SafraState>;
-
-    fn dense_enabled(&self, dense: &Self::Dense, pid: Pid, action: ActionId) -> bool {
-        self.enabled(dense, pid, action)
-    }
-
-    fn dense_execute(
-        &self,
-        dense: &Self::Dense,
-        pid: Pid,
-        action: ActionId,
-        rng: &mut SimRng,
-    ) -> SafraState {
-        self.execute(dense, pid, action, rng)
     }
 }

@@ -20,7 +20,7 @@
 //! Lenzen–Rybicki problem; this module supplies the consistent-snapshot
 //! baseline the sweep-barrier engine provides for free.
 
-use ftbarrier_gcs::{ActionId, DenseProtocol, Pid, Protocol, ReaderSet, SimRng, Time};
+use ftbarrier_gcs::{ActionId, Pid, Protocol, ReaderSet, SimRng, Time};
 
 /// The single self-stabilizing rule: `counter := majority(all) + 1 mod C`.
 pub const STEP: ActionId = 0;
@@ -109,23 +109,5 @@ impl Protocol for SyncCount {
     fn readers_of(&self, _pid: Pid) -> ReaderSet {
         // The majority rule really does read every counter.
         ReaderSet::All
-    }
-}
-
-impl DenseProtocol for SyncCount {
-    type Dense = Vec<u32>;
-
-    fn dense_enabled(&self, dense: &Self::Dense, pid: Pid, action: ActionId) -> bool {
-        self.enabled(dense, pid, action)
-    }
-
-    fn dense_execute(
-        &self,
-        dense: &Self::Dense,
-        pid: Pid,
-        action: ActionId,
-        rng: &mut SimRng,
-    ) -> u32 {
-        self.execute(dense, pid, action, rng)
     }
 }

@@ -1,11 +1,11 @@
-//! Conformance and fault-model tests for the sibling protocols: engine
-//! differentials (classic ≡ dense), safety/liveness of the termination
+//! Conformance and fault-model tests for the sibling protocols: scheduler
+//! differentials (incremental ≡ full rescan), safety/liveness of the termination
 //! detector, lockstep agreement of the synchronous counter, Byzantine
 //! behavior under `WithByzantine`, and the documented limitations that
 //! motivate quarantine.
 
 use ftbarrier_core::faults::{ByzState, WithByzantine};
-use ftbarrier_core::testkit::check_protocol_classic_dense_differential;
+use ftbarrier_core::testkit::check_protocol_scheduler_differential;
 use ftbarrier_gcs::fault::NoFaults;
 use ftbarrier_gcs::{
     ActionId, Engine, EngineConfig, Monitor, Pid, Protocol, SimRng, TelemetryMonitor, Time,
@@ -159,8 +159,8 @@ fn byzantine_wrapper_propagates_forged_announcements_to_correct_members() {
 }
 
 #[test]
-fn safra_classic_and_dense_engines_are_byte_identical() {
-    check_protocol_classic_dense_differential(
+fn safra_schedulers_are_byte_identical() {
+    check_protocol_scheduler_differential(
         "safra",
         &SafraRing::new(8, 11, 2).with_costs(Time::new(0.05), Time::new(1.0)),
         0x5AF2,
@@ -295,6 +295,6 @@ fn adversarial_interleaving_keeps_counters_out_of_agreement() {
 }
 
 #[test]
-fn synccount_classic_and_dense_engines_are_byte_identical() {
-    check_protocol_classic_dense_differential("synccount", &SyncCount::new(8, 16), 0x51C, 12.0);
+fn synccount_schedulers_are_byte_identical() {
+    check_protocol_scheduler_differential("synccount", &SyncCount::new(8, 16), 0x51C, 12.0);
 }

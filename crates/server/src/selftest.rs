@@ -246,8 +246,8 @@ pub fn run_selftest(quick: bool) -> SelfTestReport {
     }
     match prom::parse(&live_metrics) {
         Ok(exp) => {
-            if exp.samples_of("runtime_phase_duration").is_empty() {
-                failures.push("live scrape has no runtime_phase_duration samples".into());
+            if exp.samples_of("runtime_phase_duration_count").is_empty() {
+                failures.push("live scrape has no runtime_phase_duration_count samples".into());
             }
             if exp.value("server_sessions_active", &[]).is_none() {
                 failures.push("live scrape has no server_sessions_active gauge".into());

@@ -50,7 +50,7 @@ fn fault_free_group_completes_and_metrics_parse() {
         exp.value("server_releases_total", &[("group", "steady")]),
         Some(12.0)
     );
-    assert!(!exp.samples_of("runtime_phase_duration").is_empty());
+    assert!(!exp.samples_of("runtime_phase_duration_count").is_empty());
     server.shutdown();
 }
 

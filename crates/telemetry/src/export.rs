@@ -233,8 +233,10 @@ fn key_with(key: &MetricKey, extra: &[(&str, &str)], name_suffix: &str) -> Strin
     k.render()
 }
 
-/// One label set's series of a histogram family; the family's header is
-/// the caller's.
+/// One label set's series of a histogram family: only `_bucket`, `_sum` and
+/// `_count`, as the format allows (quantiles are read off the buckets; the
+/// registry and the JSON exports keep the exact ones). The family's header
+/// is the caller's.
 fn write_histogram(out: &mut String, key: &MetricKey, h: &Histogram) {
     for (bound, cum) in h.cumulative_buckets() {
         let b = prom_value(bound);
@@ -253,22 +255,6 @@ fn write_histogram(out: &mut String, key: &MetricKey, h: &Histogram) {
         prom_value(h.sum())
     );
     let _ = writeln!(out, "{} {}", key_with(key, &[], "_count"), h.count());
-    // Convenience gauges Prometheus's text format has no native slot for —
-    // the quantiles the experiments quote.
-    for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-        let _ = writeln!(
-            out,
-            "{} {}",
-            key_with(key, &[("quantile", label)], ""),
-            prom_value(h.quantile(q))
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{} {}",
-        key_with(key, &[], "_max"),
-        prom_value(h.max())
-    );
 }
 
 /// Render the snapshot's metrics in the Prometheus text exposition format.
@@ -352,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exposition_has_help_types_and_quantiles() {
+    fn prometheus_exposition_has_help_and_types() {
         let s = to_prometheus(&sample_snapshot());
         // Every # TYPE is preceded by a # HELP for the same metric.
         let lines: Vec<&str> = s.lines().collect();
@@ -373,7 +359,6 @@ mod tests {
         assert!(s.contains("# TYPE in_flight gauge"));
         assert!(s.contains("# TYPE latency histogram"));
         assert!(s.contains("latency_count{link=\"0\"} 2"));
-        assert!(s.contains("quantile=\"0.99\""));
         assert!(s.contains("le=\"+Inf\""));
     }
 

@@ -43,9 +43,12 @@ impl Exposition {
 }
 
 /// Parse a Prometheus text exposition. Returns `Err(line_no, message)` on
-/// the first malformed line (1-based).
+/// the first malformed line (1-based). A sample belongs to the family of
+/// the last `# TYPE` line; in a `histogram` family `F` only `F_bucket`,
+/// `F_sum` and `F_count` samples are accepted, as a strict scraper demands.
 pub fn parse(input: &str) -> Result<Exposition, (usize, String)> {
     let mut exp = Exposition::default();
+    let mut histogram: Option<String> = None;
     for (idx, raw) in input.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim();
@@ -61,6 +64,7 @@ pub fn parse(input: &str) -> Result<Exposition, (usize, String)> {
                     .ok_or((lineno, "TYPE without metric name".to_owned()))?;
                 let ty = it.next().ok_or((lineno, "TYPE without type".to_owned()))?;
                 exp.types.insert(name.to_owned(), ty.to_owned());
+                histogram = (ty == "histogram").then(|| name.to_owned());
             } else if let Some(decl) = rest.strip_prefix("HELP ") {
                 let decl = decl.trim_start();
                 let name = decl
@@ -73,6 +77,18 @@ pub fn parse(input: &str) -> Result<Exposition, (usize, String)> {
             continue; // other comments are ignored
         }
         let sample = parse_sample(line).map_err(|m| (lineno, m))?;
+        if let Some(family) = &histogram {
+            let suffix = sample.name.strip_prefix(family.as_str());
+            if !matches!(suffix, Some("_bucket" | "_sum" | "_count")) {
+                return Err((
+                    lineno,
+                    format!(
+                        "sample {} in histogram family {family}: only _bucket, _sum and _count belong there",
+                        sample.name
+                    ),
+                ));
+            }
+        }
         exp.samples.push(sample);
     }
     Ok(exp)
@@ -245,6 +261,31 @@ mod tests {
     }
 
     #[test]
+    fn refuses_foreign_samples_in_a_histogram_family() {
+        let family = concat!(
+            "# TYPE lat histogram\n",
+            "lat_bucket{le=\"+Inf\"} 2\n",
+            "lat_sum 0.5\n",
+            "lat_count 2\n",
+        );
+        assert!(parse(family).is_ok());
+        for (extra, name) in [
+            ("lat{quantile=\"0.5\"} 0.2\n", "lat"),
+            ("lat_max 0.3\n", "lat_max"),
+            ("other 1\n", "other"),
+        ] {
+            let (line, message) = parse(&format!("{family}{extra}")).unwrap_err();
+            assert_eq!(line, 5, "{message}");
+            assert!(
+                message.contains(&format!("sample {name} in histogram family lat")),
+                "{message}"
+            );
+        }
+        // A new TYPE line closes the histogram family.
+        assert!(parse(&format!("{family}# TYPE up gauge\nup 1\n")).is_ok());
+    }
+
+    #[test]
     fn round_trips_registry_export() {
         let mut reg = MetricsRegistry::new();
         reg.add_counter("actions_total", &[("action", "tok")], 17);
@@ -265,15 +306,6 @@ mod tests {
             exp.value("latency_bucket", &[("topo", "ring"), ("le", "+Inf")]),
             Some(4.0)
         );
-        // Quantiles present and ordered.
-        let p50 = exp
-            .value("latency", &[("topo", "ring"), ("quantile", "0.5")])
-            .unwrap();
-        let p99 = exp
-            .value("latency", &[("topo", "ring"), ("quantile", "0.99")])
-            .unwrap();
-        let max = exp.value("latency_max", &[("topo", "ring")]).unwrap();
-        assert!(p50 <= p99 && p99 <= max);
         assert_eq!(
             exp.types.get("latency").map(String::as_str),
             Some("histogram")

@@ -39,8 +39,8 @@ impl Csr {
     }
 }
 
-/// Cache-linear adjacency view of a [`SweepDag`], for the struct-of-arrays
-/// guard evaluators. Position/process ids are `u32` (a millionfold sweep
+/// Cache-linear adjacency view of a [`SweepDag`], for the sweep program's
+/// guard evaluation. Position/process ids are `u32` (a millionfold sweep
 /// still fits with room to spare), halving the bytes the guards pull.
 #[derive(Debug, Clone)]
 pub struct CsrDag {
