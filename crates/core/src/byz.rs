@@ -342,7 +342,6 @@ pub fn run_byz_with_telemetry(exp: &ByzExperiment, telemetry: &Telemetry) -> Byz
         let mut plan = ByzantineFaults::new(exp.attack_rate, attackers, arsenal);
 
         let config = EngineConfig {
-            seed: exp.seed ^ 0x0B52 ^ segment.rotate_left(17),
             max_time: Some(Time::new(exp.horizon - t)),
             ..Default::default()
         };

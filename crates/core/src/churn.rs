@@ -273,7 +273,6 @@ pub fn run_churn_with_telemetry(exp: &ChurnExperiment, telemetry: &Telemetry) ->
             let mut trace: Trace<PosState> = Trace::unbounded();
 
             let config = EngineConfig {
-                seed: exp.seed ^ 0x5EED ^ segment.rotate_left(17),
                 max_time: Some(Time::new(seg_end - t_base)),
                 ..Default::default()
             };

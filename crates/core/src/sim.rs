@@ -13,8 +13,7 @@ use crate::sweep::{PosState, ProcessFaults, SweepBarrier, SweepDetectableFault};
 use crate::telemetry::{EpisodeAttribution, SweepLatencyMonitor};
 use ftbarrier_gcs::fault::NoFaults;
 use ftbarrier_gcs::{
-    ActionId, CausalMonitor, Engine, EngineConfig, FaultKind, Monitor, MonitorSet, Pid, StopReason,
-    Time,
+    ActionId, CausalMonitor, Engine, EngineConfig, FaultKind, Monitor, Pid, StopReason, Time,
 };
 use ftbarrier_telemetry::{CausalRecorder, Telemetry};
 use ftbarrier_topology::{SweepDag, TopologyError};
@@ -264,7 +263,6 @@ pub fn measure_phases_causal(
     });
     let mut engine = Engine::new(&program, exp.seed);
     let config = EngineConfig {
-        seed: exp.seed ^ 0x5EED,
         max_time: Some(Time::new(
             // Generous horizon: expected phase time times target, times 50
             // headroom for unlucky fault streaks.
@@ -273,27 +271,19 @@ pub fn measure_phases_causal(
         )),
         ..Default::default()
     };
-    let outcome = {
-        let mut set = MonitorSet::new().with(&mut monitor);
-        if let Some(latency) = latency.as_mut() {
-            set.push(latency);
-        }
-        if let Some(causal) = causal.as_mut() {
-            set.push(causal);
-        }
-        if exp.f > 0.0 {
-            let mut faults = ProcessFaults::new(
-                &program,
-                exp.f,
-                SweepDetectableFault {
-                    n_phases: exp.n_phases,
-                },
-            );
-            engine.run(&config, &mut faults, &mut set)
-        } else {
-            engine.run(&config, &mut NoFaults, &mut set)
-        }
-    };
+    let mut faults = (exp.f > 0.0).then(|| {
+        ProcessFaults::new(
+            &program,
+            exp.f,
+            SweepDetectableFault {
+                n_phases: exp.n_phases,
+            },
+        )
+    });
+    // One concrete observer, so the engine loop dispatches statically: the
+    // oracle first, then the optional latency and causal monitors.
+    let mut observer = (&mut monitor, (latency.as_mut(), causal.as_mut()));
+    let outcome = engine.run(&config, &mut faults, &mut observer);
     assert_ne!(
         outcome.reason,
         StopReason::Fixpoint,
@@ -468,7 +458,6 @@ pub fn measure_recovery(exp: &RecoveryExperiment) -> RecoveryMeasurement {
     // different phases); those stem from the perturbation, which is correct.
 
     let config = EngineConfig {
-        seed: exp.seed ^ 0xFA17,
         max_time: Some(Time::new(exp.horizon)),
         ..Default::default()
     };

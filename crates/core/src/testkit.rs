@@ -62,9 +62,8 @@ pub type RunRecord<S> = (Vec<TraceEvent<S>>, Vec<S>, [u64; 3]);
 /// The engine configuration every differential run uses (the `max_commits`
 /// ceiling is a safety net against zero-cost livelock, far above any
 /// legitimate run here).
-pub fn differential_config(seed: u64, horizon: f64, full_rescan: bool) -> EngineConfig {
+pub fn differential_config(horizon: f64, full_rescan: bool) -> EngineConfig {
     EngineConfig {
-        seed: seed ^ 0xD1FF,
         max_time: Some(Time::new(horizon)),
         max_commits: Some(2_000_000),
         full_rescan,
@@ -100,7 +99,7 @@ pub fn run_classic_telemetry(
     let mut tmon =
         TelemetryMonitor::<PosState>::new(telemetry.clone(), program.dag().num_positions());
     let mut lmon = SweepLatencyMonitor::new(&program, spec.label(), telemetry.clone());
-    let cfg = differential_config(seed, 30.0, full_rescan);
+    let cfg = differential_config(30.0, full_rescan);
     let out = {
         let mut set = MonitorSet::new()
             .with(&mut trace)
@@ -147,7 +146,7 @@ pub fn run_classic_causal(
     let mut engine = Engine::new(&program, seed);
     engine.perturb_all();
     let mut trace = Trace::unbounded();
-    let cfg = differential_config(seed, 30.0, full_rescan);
+    let cfg = differential_config(30.0, full_rescan);
     let out = {
         let mut set = MonitorSet::new().with(&mut trace).with(&mut cmon);
         if fault_rate > 0.0 {
@@ -221,7 +220,7 @@ fn run_protocol<P: Protocol>(
     let mut trace = Trace::unbounded();
     let mut faults =
         PoissonFaults::with_rate(fault_rate, VictimPolicy::Random, ArbitraryFault(protocol));
-    let cfg = differential_config(seed, horizon, full_rescan);
+    let cfg = differential_config(horizon, full_rescan);
     let out = {
         let mut set = MonitorSet::new()
             .with(&mut trace)
@@ -391,7 +390,6 @@ pub fn check_sweep_completeness(spec: TopologySpec) {
     let mut coverage = SweepCoverage { recvs: vec![0; p] };
     let mut engine = Engine::new(&program, 0x5EED);
     let cfg = EngineConfig {
-        seed: 0x5EED ^ 0xC0F,
         max_time: Some(Time::new(200.0)),
         ..Default::default()
     };
@@ -496,7 +494,6 @@ pub fn check_legal_set_structure(spec: TopologySpec) {
         };
         let mut engine = Engine::new(&program, 0x1E6A);
         let cfg = EngineConfig {
-            seed: 0x1E6A ^ u64::from(l),
             max_time: Some(Time::new(200.0)),
             ..Default::default()
         };

@@ -34,7 +34,7 @@ fn run_token_ring(seed: u64, full_rescan: bool) -> RunRecord<Sn> {
     let mut engine = Engine::new(&program, seed);
     engine.perturb_all();
     let mut trace = Trace::unbounded();
-    let out = engine.run(&config(seed, 25.0, full_rescan), &mut NoFaults, &mut trace);
+    let out = engine.run(&config(25.0, full_rescan), &mut NoFaults, &mut trace);
     (
         trace.events().cloned().collect(),
         engine.global().to_vec(),
@@ -152,7 +152,6 @@ fn plain_churn_reference(
     let mut oracle = SweepOracleMonitor::new(&program, Anchor::StrictFromZero).stop_after(target);
     let mut trace = Trace::unbounded();
     let cfg = EngineConfig {
-        seed: seed ^ 0x5EED,
         max_time: Some(Time::new(horizon)),
         ..Default::default()
     };

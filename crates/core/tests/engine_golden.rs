@@ -98,7 +98,6 @@ fn run_engine<P: Protocol<State = PosState>>(
     }
     let mut trace = Trace::unbounded();
     let cfg = EngineConfig {
-        seed: case.seed ^ 0x5EED,
         max_time: Some(Time::new(case.horizon)),
         max_commits: Some(2_000_000),
         full_rescan,

@@ -160,7 +160,6 @@ mod tests {
         let mut monitor = CausalMonitor::from_protocol(&ring, recorder.clone());
         let mut engine = Engine::new(&ring, 7);
         let cfg = EngineConfig {
-            seed: 7,
             max_time: Some(Time::new(5.0)),
             ..Default::default()
         };

@@ -10,8 +10,8 @@
 //!
 //! * An idle process whose guard holds **commits** to that action; the commit
 //!   completes `cost(pid, action)` time later.
-//! * At the commit time the guard is **re-checked** against the then-current
-//!   state and the statement executes atomically; if the guard no longer
+//! * At the commit time the guard must still hold against the then-current
+//!   state, and the statement executes atomically; if the guard no longer
 //!   holds the commit is dropped (counted in [`RunStats::commits_dropped`])
 //!   and the process simply reschedules. In the paper's programs guards are
 //!   *locally stable* — once process j holds the token only j can give it up —
@@ -31,21 +31,38 @@
 //! paper's programs only ever change a constant-size neighborhood. This
 //! engine is incremental in both dimensions:
 //!
-//! * **Dirty-set scheduling.** When [`Protocol::readers_of`] names each
-//!   process's guard readers (every protocol in this repo does; the default
-//!   [`ReaderSet::All`] falls back to full rescans), the engine re-evaluates
-//!   guards only for the *dirty set*: processes whose state changed since the
-//!   last scheduling pass, plus their readers. This is sound because guard
-//!   truth at an untouched process cannot change when no state it reads
-//!   changed — an idle, non-dirty process provably has no enabled action, so
-//!   skipping it is exact, not approximate. Dirty pids are visited in
-//!   ascending pid order, so the RNG consumes the identical stream the full
-//!   rescan would (idle non-dirty pids never reach the nondeterministic
-//!   choice), making both modes produce byte-identical runs.
-//! * **Commit heap.** Pending commit times live in a min-heap with *lazy
-//!   invalidation*: aborting a commit (fault hit) just clears the
-//!   per-process slot; stale heap entries are discarded when popped. Finding
-//!   the next event is O(log n) instead of an O(n) scan.
+//! * **Dirty-set scheduling.** [`Protocol::readers_of`] names, per writer,
+//!   the processes whose guards read it; a writer that answers
+//!   [`ReaderSet::All`] is read by every process, and only that writer's
+//!   changes wake everyone. The engine re-evaluates guards only for the
+//!   *dirty set*: processes whose state changed since the last scheduling
+//!   pass, plus their readers. This is sound because guard truth at an
+//!   untouched process cannot change when no state it reads changed — an
+//!   idle, non-dirty process provably has no enabled action, so skipping it
+//!   is exact, not approximate. The dirty set is a bitset of `u64` words
+//!   plus the list of words that hold a set bit; a scheduling pass sorts
+//!   that short list and walks each word's bits from low to high, so dirty
+//!   pids are visited in ascending pid order and the RNG consumes the
+//!   identical stream the full rescan would (idle non-dirty pids never reach
+//!   the nondeterministic choice), making both modes produce byte-identical
+//!   runs.
+//! * **Stale-only re-check.** A commit's guard is re-evaluated at maturity
+//!   only if the commit is *stale*: some state its guard reads changed after
+//!   it committed, which is exactly when a write, a [`Engine::set_state`] or
+//!   a fault's touched pid reaches it through its writer's reader set. A
+//!   commit nothing reached still reads the state its guard held on, so the
+//!   guard provably still holds — the argument that lets the scheduler skip
+//!   idle non-dirty pids. `enabled` is pure and draws no randomness, so the
+//!   skip changes no run. The full rescan re-checks every commit and stays
+//!   the reference; debug builds re-evaluate every skipped guard and assert
+//!   that it holds.
+//! * **Commit heap.** Pending commits live in a min-heap of one integer key
+//!   per commit, `(time bits << 64) | pid`: a [`Time`] is finite,
+//!   non-negative and never `-0.0`, so its bits order as its value does and
+//!   the key orders as `(Time, Pid)`, equal times in ascending pid order.
+//!   The heap uses *lazy invalidation*: aborting a commit (fault hit) just
+//!   clears the per-process slot; stale heap entries are discarded when
+//!   popped. Finding the next event is O(log n) instead of an O(n) scan.
 //! * **No per-event snapshots.** Maximal-parallel steps read pre-step state
 //!   by computing all updates *before* applying any (the statements only
 //!   read `global` and write their own process), and the old state each
@@ -61,6 +78,9 @@
 //!   are one flat compressed-row table (an offset array over a single
 //!   `u32` pid array) filled from [`Protocol::readers_of`] once, not one
 //!   heap `Vec` per process.
+//! * **Static dispatch.** [`Engine::run`] is generic over its fault plan and
+//!   its monitor, so a concrete observer (a pair of monitors, an optional
+//!   one) is inlined into the loop; `&mut dyn` arguments still work.
 //!
 //! [`EngineConfig::full_rescan`] forces the reference O(n)-per-event
 //! scheduler; the differential tests run both modes and assert identical
@@ -100,23 +120,21 @@ pub struct RunOutcome {
 
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    pub seed: u64,
     /// Stop when simulation time reaches this horizon.
     pub max_time: Option<Time>,
     /// Stop after this many committed actions (guards against zero-cost
     /// livelock in buggy protocols).
     pub max_commits: Option<u64>,
     /// Force the reference scheduler that rescans every guard after every
-    /// event, even when the protocol provides [`Protocol::readers_of`]
-    /// hints. Produces byte-identical runs to the incremental scheduler;
-    /// exists for differential tests and baseline benchmarks.
+    /// event and re-checks every commit at maturity. Produces
+    /// byte-identical runs to the incremental scheduler; exists for
+    /// differential tests and baseline benchmarks.
     pub full_rescan: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            seed: 0x051E_FA57,
             max_time: None,
             max_commits: Some(100_000_000),
             full_rescan: false,
@@ -128,44 +146,118 @@ impl Default for EngineConfig {
 struct Pending {
     action: ActionId,
     at: Time,
+    /// Some state the committed guard reads changed after the commit.
+    stale: bool,
+}
+
+/// The commit heap's key: orders as `(at, pid)` (see the module docs).
+#[inline]
+fn commit_key(at: Time, pid: Pid) -> u128 {
+    (u128::from(at.to_bits()) << 64) | pid as u128
+}
+
+#[inline]
+fn key_time(key: u128) -> Time {
+    Time::from_bits((key >> 64) as u64)
+}
+
+#[inline]
+fn key_pid(key: u128) -> Pid {
+    key as u64 as Pid
 }
 
 /// Every process's guard readers in one compressed-row table:
 /// `readers[offsets[q]..offsets[q + 1]]` are the sorted, deduped pids whose
-/// guards read q's state, always including q itself.
+/// guards read q's state, always including q itself. A writer that answered
+/// [`ReaderSet::All`] has an empty row and its `read_by_all` flag set.
 struct ReaderTable {
     offsets: Vec<u32>,
     readers: Vec<u32>,
+    read_by_all: Vec<bool>,
 }
 
 impl ReaderTable {
-    /// Collect [`Protocol::readers_of`] for every pid, or `None` when some
-    /// pid answers [`ReaderSet::All`].
-    fn build<P: Protocol>(protocol: &P) -> Option<ReaderTable> {
+    /// Collect [`Protocol::readers_of`] for every pid.
+    fn build<P: Protocol>(protocol: &P) -> ReaderTable {
         let n = protocol.num_processes();
         assert!(n <= u32::MAX as usize, "pids must fit the u32 reader table");
         let mut offsets = Vec::with_capacity(n + 1);
         let mut readers = Vec::new();
+        let mut read_by_all = Vec::with_capacity(n);
         offsets.push(0);
         for pid in 0..n {
-            let ReaderSet::These(mut these) = protocol.readers_of(pid) else {
-                return None;
-            };
-            these.push(pid);
-            these.sort_unstable();
-            these.dedup();
-            assert!(
-                these.iter().all(|&r| r < n),
-                "readers_of({pid}) names a pid out of range (n={n})"
-            );
-            readers.extend(these.iter().map(|&r| r as u32));
+            match protocol.readers_of(pid) {
+                ReaderSet::All => read_by_all.push(true),
+                ReaderSet::These(mut these) => {
+                    read_by_all.push(false);
+                    these.push(pid);
+                    these.sort_unstable();
+                    these.dedup();
+                    assert!(
+                        these.iter().all(|&r| r < n),
+                        "readers_of({pid}) names a pid out of range (n={n})"
+                    );
+                    readers.extend(these.iter().map(|&r| r as u32));
+                }
+            }
             offsets.push(u32::try_from(readers.len()).expect("reader table overflows u32"));
         }
-        Some(ReaderTable { offsets, readers })
+        ReaderTable {
+            offsets,
+            readers,
+            read_by_all,
+        }
     }
 
-    fn of(&self, pid: Pid) -> &[u32] {
-        &self.readers[self.offsets[pid] as usize..self.offsets[pid + 1] as usize]
+    /// The readers of `pid`, or `None` when every pid reads it.
+    #[inline]
+    fn of(&self, pid: Pid) -> Option<&[u32]> {
+        (!self.read_by_all[pid])
+            .then(|| &self.readers[self.offsets[pid] as usize..self.offsets[pid + 1] as usize])
+    }
+}
+
+/// The dirty set: one bit per pid in `words`, and in `listed` the index of
+/// every word that has a bit set, so a pass touches only those words.
+struct DirtySet {
+    words: Vec<u64>,
+    listed: Vec<u32>,
+}
+
+impl DirtySet {
+    fn new(n: usize) -> DirtySet {
+        let words = n.div_ceil(64);
+        DirtySet {
+            words: vec![0; words],
+            listed: Vec::with_capacity(words),
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, pid: Pid) {
+        let w = pid / 64;
+        if self.words[w] == 0 {
+            self.listed.push(w as u32);
+        }
+        self.words[w] |= 1 << (pid % 64);
+    }
+
+    /// Mark every one of the `n` pids: a word fill.
+    fn fill(&mut self, n: usize) {
+        self.words.fill(!0);
+        let tail = n % 64;
+        if tail != 0 {
+            *self.words.last_mut().expect("a partial word exists") = (1 << tail) - 1;
+        }
+        self.listed.clear();
+        self.listed.extend(0..self.words.len() as u32);
+    }
+
+    fn clear(&mut self) {
+        for &w in &self.listed {
+            self.words[w as usize] = 0;
+        }
+        self.listed.clear();
     }
 }
 
@@ -204,19 +296,14 @@ pub struct Engine<'p, P: Protocol> {
     now: Time,
     rng: SimRng,
     enabled_scratch: Vec<ActionId>,
-    /// Guard readers of every process; `None` when the protocol answered
-    /// [`ReaderSet::All`] for some pid: every event then triggers a full
-    /// guard rescan.
-    readers: Option<ReaderTable>,
-    /// Dirty set: pids whose guards must be re-evaluated at the next
-    /// scheduling pass. The flag vector makes membership O(1); the list
-    /// makes iteration proportional to the set size.
-    dirty_flag: Vec<bool>,
-    dirty_list: Vec<Pid>,
-    /// Commit queue with lazy invalidation: an entry is live iff
-    /// `pending[pid]` still matures at exactly that time; stale entries are
-    /// dropped when they surface at the top.
-    commits: BinaryHeap<Reverse<(Time, Pid)>>,
+    /// Guard readers of every process.
+    readers: ReaderTable,
+    /// Pids whose guards must be re-evaluated at the next scheduling pass.
+    dirty: DirtySet,
+    /// Commit queue of [`commit_key`]s with lazy invalidation: an entry is
+    /// live iff `pending[pid]` still matures at exactly that time; stale
+    /// entries are dropped when they surface at the top.
+    commits: BinaryHeap<Reverse<u128>>,
     /// Scratch buffers reused across steps (no per-step allocation).
     batch: Vec<Pid>,
     updates: Vec<(Pid, ActionId, P::State)>,
@@ -253,8 +340,7 @@ impl<'p, P: Protocol> Engine<'p, P> {
             rng: SimRng::seed_from_u64(seed),
             enabled_scratch: Vec::new(),
             readers: ReaderTable::build(protocol),
-            dirty_flag: vec![false; n],
-            dirty_list: Vec::with_capacity(n),
+            dirty: DirtySet::new(n),
             commits: BinaryHeap::with_capacity(n),
             batch: Vec::new(),
             updates: Vec::new(),
@@ -262,7 +348,7 @@ impl<'p, P: Protocol> Engine<'p, P> {
             action_counts: vec![0; total_actions],
             action_offsets,
         };
-        engine.mark_all();
+        engine.dirty.fill(n);
         engine
     }
 
@@ -278,7 +364,6 @@ impl<'p, P: Protocol> Engine<'p, P> {
         self.global[pid] = state;
         self.pending[pid] = None;
         self.mark_readers_of(pid);
-        self.mark(pid);
     }
 
     /// Replace every process's state with an arbitrary domain value — used to
@@ -288,37 +373,32 @@ impl<'p, P: Protocol> Engine<'p, P> {
             self.global[pid] = self.protocol.arbitrary_state(pid, &mut self.rng);
             self.pending[pid] = None;
         }
-        self.mark_all();
+        self.dirty.fill(self.pending.len());
     }
 
     pub fn rng(&mut self) -> &mut SimRng {
         &mut self.rng
     }
 
-    fn mark(&mut self, pid: Pid) {
-        if !self.dirty_flag[pid] {
-            self.dirty_flag[pid] = true;
-            self.dirty_list.push(pid);
-        }
-    }
-
-    fn mark_all(&mut self) {
-        for pid in 0..self.dirty_flag.len() {
-            self.mark(pid);
-        }
-    }
-
-    /// State of `pid` changed: every process whose guard reads it may have
-    /// flipped enabled-status. No-op under full rescans (`readers` absent).
+    /// State of `pid` changed: every process whose guard reads it (itself
+    /// included) may have flipped enabled-status, and every commit among
+    /// them is stale.
     fn mark_readers_of(&mut self, pid: Pid) {
-        let Some(readers) = &self.readers else {
-            return;
-        };
-        for &r in readers.of(pid) {
-            let r = r as Pid;
-            if !self.dirty_flag[r] {
-                self.dirty_flag[r] = true;
-                self.dirty_list.push(r);
+        match self.readers.of(pid) {
+            Some(readers) => {
+                for &r in readers {
+                    let r = r as Pid;
+                    self.dirty.insert(r);
+                    if let Some(p) = &mut self.pending[r] {
+                        p.stale = true;
+                    }
+                }
+            }
+            None => {
+                self.dirty.fill(self.pending.len());
+                for p in self.pending.iter_mut().flatten() {
+                    p.stale = true;
+                }
             }
         }
     }
@@ -334,8 +414,12 @@ impl<'p, P: Protocol> Engine<'p, P> {
             _ => *self.rng.choose(&self.enabled_scratch),
         };
         let at = self.now + self.protocol.cost(pid, action);
-        self.pending[pid] = Some(Pending { action, at });
-        self.commits.push(Reverse((at, pid)));
+        self.pending[pid] = Some(Pending {
+            action,
+            at,
+            stale: false,
+        });
+        self.commits.push(Reverse(commit_key(at, pid)));
     }
 
     /// Schedule commits for all idle processes with an enabled action.
@@ -346,36 +430,38 @@ impl<'p, P: Protocol> Engine<'p, P> {
     /// identically.
     fn schedule(&mut self, incremental: bool) {
         if incremental {
-            self.dirty_list.sort_unstable();
-            let mut i = 0;
-            while i < self.dirty_list.len() {
-                let pid = self.dirty_list[i];
-                i += 1;
-                self.dirty_flag[pid] = false;
-                if self.pending[pid].is_none() {
-                    self.try_commit(pid);
+            self.dirty.listed.sort_unstable();
+            for i in 0..self.dirty.listed.len() {
+                let w = self.dirty.listed[i] as usize;
+                let mut bits = std::mem::take(&mut self.dirty.words[w]);
+                while bits != 0 {
+                    let pid = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if self.pending[pid].is_none() {
+                        self.try_commit(pid);
+                    }
                 }
             }
-            self.dirty_list.clear();
+            self.dirty.listed.clear();
         } else {
             // Reference path: rescan every guard. Dirty bookkeeping is
             // still cleared so a later incremental run starts from the same
             // invariant (every idle process has just been checked).
+            self.dirty.clear();
             for pid in 0..self.pending.len() {
-                self.dirty_flag[pid] = false;
                 if self.pending[pid].is_none() {
                     self.try_commit(pid);
                 }
             }
-            self.dirty_list.clear();
         }
     }
 
     /// Time of the next maturing commit, discarding stale heap entries
     /// (lazily invalidated by fault aborts) from the top.
     fn earliest_commit(&mut self) -> Option<Time> {
-        while let Some(&Reverse((at, pid))) = self.commits.peek() {
-            if matches!(self.pending[pid], Some(p) if p.at == at) {
+        while let Some(&Reverse(key)) = self.commits.peek() {
+            let at = key_time(key);
+            if matches!(self.pending[key_pid(key)], Some(p) if p.at == at) {
                 return Some(at);
             }
             self.commits.pop();
@@ -385,13 +471,17 @@ impl<'p, P: Protocol> Engine<'p, P> {
 
     /// Run until a stop condition. `faults` injects the fault environment;
     /// `monitor` observes every transition and fault.
-    pub fn run(
+    pub fn run<F, M>(
         &mut self,
         config: &EngineConfig,
-        faults: &mut dyn FaultPlan<P::State>,
-        monitor: &mut dyn Monitor<P::State>,
-    ) -> RunOutcome {
-        let incremental = self.readers.is_some() && !config.full_rescan;
+        faults: &mut F,
+        monitor: &mut M,
+    ) -> RunOutcome
+    where
+        F: FaultPlan<P::State> + ?Sized,
+        M: Monitor<P::State> + ?Sized,
+    {
+        let incremental = !config.full_rescan;
         let mut stats = RunStats::default();
         self.action_counts.fill(0);
 
@@ -429,7 +519,7 @@ impl<'p, P: Protocol> Engine<'p, P> {
                         let p = self.touched[i];
                         self.mark_readers_of(p); // includes p itself
                     }
-                    self.mark(hit.pid); // must reschedule after the abort
+                    self.dirty.insert(hit.pid); // must reschedule after the abort
                     stats.faults += 1;
                     monitor.on_fault(
                         self.now,
@@ -452,11 +542,13 @@ impl<'p, P: Protocol> Engine<'p, P> {
             // may surface twice (abort + reschedule at the same instant),
             // which the `take()` below collapses.
             self.batch.clear();
-            while let Some(&Reverse((at, pid))) = self.commits.peek() {
+            while let Some(&Reverse(key)) = self.commits.peek() {
+                let at = key_time(key);
                 if at != next_event {
                     break;
                 }
                 self.commits.pop();
+                let pid = key_pid(key);
                 if matches!(self.pending[pid], Some(p) if p.at == at) {
                     self.batch.push(pid);
                 }
@@ -471,14 +563,26 @@ impl<'p, P: Protocol> Engine<'p, P> {
                 let Some(p) = self.pending[pid].take() else {
                     continue; // duplicate heap entry already consumed
                 };
-                if self.protocol.enabled(&self.global, pid, p.action) {
+                // A commit nothing reached since it committed reads the state
+                // its guard held on (see "Stale-only re-check").
+                let holds = if p.stale || !incremental {
+                    self.protocol.enabled(&self.global, pid, p.action)
+                } else {
+                    debug_assert!(
+                        self.protocol.enabled(&self.global, pid, p.action),
+                        "pid {pid}'s guard failed with nothing it reads changed: \
+                         readers_of under-reports a reader of its inputs"
+                    );
+                    true
+                };
+                if holds {
                     let new = self
                         .protocol
                         .execute(&self.global, pid, p.action, &mut self.rng);
                     self.updates.push((pid, p.action, new));
                 } else {
                     stats.commits_dropped += 1;
-                    self.mark(pid);
+                    self.dirty.insert(pid);
                 }
             }
 
@@ -728,7 +832,6 @@ mod tests {
         engine.perturb_all();
         let mut trace: Trace<u64> = Trace::unbounded();
         let config = EngineConfig {
-            seed,
             max_time: Some(Time::new(40.0)),
             full_rescan,
             ..Default::default()
@@ -929,5 +1032,224 @@ mod tests {
         let message = refused.expect_err("workers: Some(2) must be refused");
         let message = message.downcast_ref::<&str>().copied().unwrap_or_default();
         assert!(message.contains("DenseEngineConfig.workers"), "{message}");
+    }
+
+    #[test]
+    fn commit_key_orders_by_time_value_then_pid() {
+        let times = [
+            Time::new(-0.0),
+            Time::ZERO,
+            Time::new(5e-324), // smallest subnormal
+            Time::new(1e-310),
+            Time::new(f64::MIN_POSITIVE),
+            Time::new(0.25),
+            Time::new(1.0),
+            Time::new(1.0 + f64::EPSILON),
+            Time::new(1e300),
+            Time::new(f64::MAX),
+        ];
+        let pids = [0, 1, 63, 64, u32::MAX as Pid];
+        let entries: Vec<(Time, Pid)> = times
+            .iter()
+            .flat_map(|&t| pids.iter().map(move |&p| (t, p)))
+            .collect();
+        for &(ta, pa) in &entries {
+            let key = commit_key(ta, pa);
+            assert_eq!((key_time(key), key_pid(key)), (ta, pa));
+            for &(tb, pb) in &entries {
+                let by_value = ta.as_f64().partial_cmp(&tb.as_f64()).unwrap();
+                assert_eq!(
+                    key.cmp(&commit_key(tb, pb)),
+                    by_value.then(pa.cmp(&pb)),
+                    "({ta:?}, {pa}) vs ({tb:?}, {pb})"
+                );
+            }
+        }
+        assert_eq!(commit_key(Time::new(-0.0), 3), commit_key(Time::ZERO, 3));
+    }
+
+    /// Pid 1 sets a flag after 1 time unit; pid 0 committed at 0 to a
+    /// 2-unit action whose guard needs the flag clear.
+    struct Race;
+
+    impl Protocol for Race {
+        type State = u64;
+
+        fn num_processes(&self) -> usize {
+            2
+        }
+        fn num_actions(&self, _pid: Pid) -> usize {
+            1
+        }
+        fn action_name(&self, pid: Pid, _action: ActionId) -> &'static str {
+            ["slow", "set"][pid]
+        }
+        fn enabled(&self, global: &[u64], _pid: Pid, _action: ActionId) -> bool {
+            global[1] == 0
+        }
+        fn execute(&self, global: &[u64], pid: Pid, _action: ActionId, _rng: &mut SimRng) -> u64 {
+            global[pid] + 1
+        }
+        fn cost(&self, pid: Pid, _action: ActionId) -> Time {
+            Time::new([2.0, 1.0][pid])
+        }
+        fn initial_state(&self) -> Vec<u64> {
+            vec![0, 0]
+        }
+        fn arbitrary_state(&self, _pid: Pid, rng: &mut SimRng) -> u64 {
+            rng.range_u64(0, 2)
+        }
+        fn readers_of(&self, pid: Pid) -> ReaderSet {
+            ReaderSet::These(if pid == 1 { vec![0] } else { vec![] })
+        }
+    }
+
+    #[test]
+    fn neighbour_write_drops_an_in_flight_commit_under_both_schedulers() {
+        for full_rescan in [false, true] {
+            let mut engine = Engine::new(&Race, 1);
+            let config = EngineConfig {
+                full_rescan,
+                ..Default::default()
+            };
+            let out = engine.run(&config, &mut NoFaults, &mut NullMonitor);
+            assert_eq!(
+                out.reason,
+                StopReason::Fixpoint,
+                "full_rescan {full_rescan}"
+            );
+            assert_eq!(out.stats.commits_dropped, 1, "full_rescan {full_rescan}");
+            assert_eq!(out.stats.count_of("set"), 1);
+            assert_eq!(out.stats.count_of("slow"), 0);
+            assert_eq!(out.stats.elapsed, Time::new(2.0));
+            assert_eq!(engine.global(), &[0, 1]);
+        }
+    }
+
+    /// A leader (pid 0) that every follower reads — it answers
+    /// [`ReaderSet::All`] — and followers that copy its value. The leader
+    /// steps by 1 or 2 (mod 3) whenever follower 1, the only process it
+    /// reads, has caught up, so its writes often disable followers' commits
+    /// in flight. `hide_follower` under-reports: follower 1 claims no
+    /// reader, so the leader is never woken by it.
+    struct Leader {
+        n: usize,
+        hide_follower: bool,
+    }
+
+    impl Protocol for Leader {
+        type State = u64;
+
+        fn num_processes(&self) -> usize {
+            self.n
+        }
+        fn num_actions(&self, pid: Pid) -> usize {
+            if pid == 0 {
+                2
+            } else {
+                1
+            }
+        }
+        fn action_name(&self, pid: Pid, action: ActionId) -> &'static str {
+            match (pid, action) {
+                (0, 0) => "step1",
+                (0, _) => "step2",
+                _ => "follow",
+            }
+        }
+        fn enabled(&self, global: &[u64], pid: Pid, _action: ActionId) -> bool {
+            if pid == 0 {
+                global[1] == global[0]
+            } else {
+                global[pid] != global[0]
+            }
+        }
+        fn execute(&self, global: &[u64], pid: Pid, action: ActionId, _rng: &mut SimRng) -> u64 {
+            if pid == 0 {
+                (global[0] + 1 + action as u64) % 3
+            } else {
+                global[0]
+            }
+        }
+        fn cost(&self, pid: Pid, action: ActionId) -> Time {
+            if pid == 0 {
+                Time::new(0.5 + 0.25 * action as f64)
+            } else {
+                Time::new(0.25 * (1 + pid % 5) as f64)
+            }
+        }
+        fn initial_state(&self) -> Vec<u64> {
+            vec![0; self.n]
+        }
+        fn arbitrary_state(&self, _pid: Pid, rng: &mut SimRng) -> u64 {
+            rng.range_u64(0, 3)
+        }
+        fn readers_of(&self, pid: Pid) -> ReaderSet {
+            match pid {
+                0 => ReaderSet::All,
+                1 if !self.hide_follower => ReaderSet::These(vec![0]),
+                _ => ReaderSet::These(vec![]),
+            }
+        }
+    }
+
+    fn leader_run(
+        protocol: &Leader,
+        seed: u64,
+        rate: f64,
+        full_rescan: bool,
+    ) -> (RunOutcome, Vec<u64>, Vec<crate::trace::TraceEvent<u64>>) {
+        let mut engine = Engine::new(protocol, seed);
+        engine.perturb_all();
+        let mut trace = Trace::unbounded();
+        let mut faults = PoissonFaults::with_rate(rate, VictimPolicy::Random, Scramble);
+        let config = EngineConfig {
+            max_time: Some(Time::new(30.0)),
+            full_rescan,
+            ..Default::default()
+        };
+        let out = engine.run(&config, &mut faults, &mut trace);
+        (
+            out,
+            engine.global().to_vec(),
+            trace.events().cloned().collect(),
+        )
+    }
+
+    #[test]
+    fn an_all_writer_keeps_the_other_writers_incremental() {
+        // 70 pids span two dirty-set words.
+        let exact = Leader {
+            n: 70,
+            hide_follower: false,
+        };
+        for seed in [5u64, 6] {
+            for rate in [0.0, 0.4] {
+                let inc = leader_run(&exact, seed, rate, false);
+                let full = leader_run(&exact, seed, rate, true);
+                assert_eq!(inc, full, "seed {seed}, rate {rate}");
+                let stats = &inc.0.stats;
+                assert!(
+                    stats.count_of("step1") > 0 && stats.count_of("step2") > 0,
+                    "the leader drew both steps (seed {seed}, rate {rate})"
+                );
+                assert!(
+                    stats.commits_dropped > 0,
+                    "the leader's writes dropped commits (seed {seed}, rate {rate})"
+                );
+            }
+        }
+        // With follower 1's reader hidden, only an incremental scheduler
+        // misses the leader's wake-ups: the differential sees the fault even
+        // though pid 0 answers `All`.
+        let hidden = Leader {
+            n: 70,
+            hide_follower: true,
+        };
+        let inc = leader_run(&hidden, 5, 0.0, false);
+        let full = leader_run(&hidden, 5, 0.0, true);
+        assert_eq!(inc.0.reason, StopReason::Fixpoint);
+        assert_eq!(full.0.reason, StopReason::MaxTime);
+        assert!(inc.0.stats.actions_executed < full.0.stats.actions_executed);
     }
 }

@@ -106,6 +106,26 @@ impl<S> FaultPlan<S> for NoFaults {
     }
 }
 
+/// An optional environment: `None` schedules no fault, as [`NoFaults`] does.
+impl<S, F: FaultPlan<S>> FaultPlan<S> for Option<F> {
+    #[inline]
+    fn peek(&mut self, now: Time, rng: &mut SimRng) -> Option<Time> {
+        self.as_mut()?.peek(now, rng)
+    }
+
+    fn fire(
+        &mut self,
+        at: Time,
+        global: &mut [S],
+        rng: &mut SimRng,
+        touched: &mut Vec<Pid>,
+    ) -> FaultHit<S> {
+        self.as_mut()
+            .expect("a `None` fault plan never schedules a fault")
+            .fire(at, global, rng, touched)
+    }
+}
+
 /// Convert the paper's per-unit-time fault frequency `f` into a Poisson rate
 /// `λ` such that `P(no arrival in duration d) = (1-f)^d`.
 ///

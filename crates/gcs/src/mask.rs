@@ -139,17 +139,16 @@ mod tests {
     fn all_alive_mask_runs_byte_identical() {
         let p = ring();
         let cfg = EngineConfig {
-            seed: 11,
             max_time: Some(Time::new(40.0)),
             ..EngineConfig::default()
         };
         let mut bare_trace: Trace<u64> = Trace::unbounded();
-        let mut bare = Engine::new(&p, cfg.seed);
+        let mut bare = Engine::new(&p, 11);
         let bare_out = bare.run(&cfg, &mut NoFaults, &mut bare_trace);
 
         let masked = Masked::new(&p, vec![true; 4]);
         let mut wrapped_trace: Trace<u64> = Trace::unbounded();
-        let mut wrapped = Engine::new(&masked, cfg.seed);
+        let mut wrapped = Engine::new(&masked, 11);
         let wrapped_out = wrapped.run(&cfg, &mut NoFaults, &mut wrapped_trace);
 
         let bare_events: Vec<&TraceEvent<u64>> = bare_trace.events().collect();
@@ -167,11 +166,10 @@ mod tests {
         let p = ring();
         let masked = Masked::new(&p, vec![true, true, false, true]);
         let cfg = EngineConfig {
-            seed: 3,
             max_time: Some(Time::new(200.0)),
             ..EngineConfig::default()
         };
-        let mut engine = Engine::new(&masked, cfg.seed);
+        let mut engine = Engine::new(&masked, 3);
         let out = engine.run(&cfg, &mut NoFaults, &mut NullMonitor);
         // The token ring stalls at the dead process: nothing is enabled in
         // the masked program, and the dead process is the only stalled one.

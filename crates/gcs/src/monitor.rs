@@ -60,6 +60,98 @@ impl<S> Monitor<S> for NullMonitor {
     }
 }
 
+/// A borrowed monitor observes as its referent does, so `&mut m` and
+/// `&mut dyn Monitor<S>` can be combined by value.
+impl<S, M: Monitor<S> + ?Sized> Monitor<S> for &mut M {
+    #[inline]
+    fn on_transition(
+        &mut self,
+        now: Time,
+        pid: Pid,
+        action: ActionId,
+        name: &'static str,
+        old: &S,
+        new: &S,
+        global: &[S],
+    ) {
+        (**self).on_transition(now, pid, action, name, old, new, global);
+    }
+
+    #[inline]
+    fn on_fault(&mut self, now: Time, pid: Pid, kind: FaultKind, old: &S, new: &S, global: &[S]) {
+        (**self).on_fault(now, pid, kind, old, new, global);
+    }
+
+    #[inline]
+    fn should_stop(&mut self) -> bool {
+        (**self).should_stop()
+    }
+}
+
+/// An optional observer: `None` observes nothing and never stops the run.
+impl<S, M: Monitor<S>> Monitor<S> for Option<M> {
+    #[inline]
+    fn on_transition(
+        &mut self,
+        now: Time,
+        pid: Pid,
+        action: ActionId,
+        name: &'static str,
+        old: &S,
+        new: &S,
+        global: &[S],
+    ) {
+        if let Some(m) = self {
+            m.on_transition(now, pid, action, name, old, new, global);
+        }
+    }
+
+    #[inline]
+    fn on_fault(&mut self, now: Time, pid: Pid, kind: FaultKind, old: &S, new: &S, global: &[S]) {
+        if let Some(m) = self {
+            m.on_fault(now, pid, kind, old, new, global);
+        }
+    }
+
+    #[inline]
+    fn should_stop(&mut self) -> bool {
+        self.as_mut().is_some_and(|m| m.should_stop())
+    }
+}
+
+/// Two observers in order — the statically dispatched [`MonitorSet`]: each
+/// callback reaches the first, then the second, and `should_stop` asks the
+/// second only when the first declines, as [`MonitorSet`] does.
+impl<S, A: Monitor<S>, B: Monitor<S>> Monitor<S> for (A, B) {
+    #[inline]
+    fn on_transition(
+        &mut self,
+        now: Time,
+        pid: Pid,
+        action: ActionId,
+        name: &'static str,
+        old: &S,
+        new: &S,
+        global: &[S],
+    ) {
+        self.0
+            .on_transition(now, pid, action, name, old, new, global);
+        self.1
+            .on_transition(now, pid, action, name, old, new, global);
+    }
+
+    #[inline]
+    fn on_fault(&mut self, now: Time, pid: Pid, kind: FaultKind, old: &S, new: &S, global: &[S]) {
+        self.0.on_fault(now, pid, kind, old, new, global);
+        self.1.on_fault(now, pid, kind, old, new, global);
+    }
+
+    #[inline]
+    fn should_stop(&mut self) -> bool {
+        self.0.should_stop() || self.1.should_stop()
+    }
+}
+
 /// Combine several monitors; stops when any member asks to stop.
 pub struct MonitorSet<'a, S> {
     members: Vec<&'a mut dyn Monitor<S>>,
@@ -161,5 +253,106 @@ mod tests {
         assert!(set.should_stop());
         assert_eq!(a.transitions, 2);
         assert_eq!(b.transitions, 2);
+    }
+
+    /// Logs every callback it receives, tagged, into a shared log; asks to
+    /// stop once it has seen `stop_after` transitions.
+    struct Logger {
+        tag: &'static str,
+        stop_after: usize,
+        seen: usize,
+        log: std::rc::Rc<std::cell::RefCell<Vec<String>>>,
+    }
+
+    impl Monitor<u64> for Logger {
+        fn on_transition(
+            &mut self,
+            now: Time,
+            pid: Pid,
+            action: ActionId,
+            name: &'static str,
+            old: &u64,
+            new: &u64,
+            global: &[u64],
+        ) {
+            self.seen += 1;
+            self.log.borrow_mut().push(format!(
+                "{} transition {now:?} {pid} {action} {name} {old} {new} {global:?}",
+                self.tag
+            ));
+        }
+
+        fn on_fault(
+            &mut self,
+            now: Time,
+            pid: Pid,
+            kind: FaultKind,
+            old: &u64,
+            new: &u64,
+            global: &[u64],
+        ) {
+            self.log.borrow_mut().push(format!(
+                "{} fault {now:?} {pid} {kind:?} {old} {new} {global:?}",
+                self.tag
+            ));
+        }
+
+        fn should_stop(&mut self) -> bool {
+            let stop = self.seen >= self.stop_after;
+            self.log
+                .borrow_mut()
+                .push(format!("{} should_stop {stop}", self.tag));
+            stop
+        }
+    }
+
+    /// Feed one fixed callback sequence to `m`, logging its answers.
+    fn drive(m: &mut dyn Monitor<u64>, log: &std::cell::RefCell<Vec<String>>) {
+        let g = [3u64, 4];
+        for step in 0..4u64 {
+            let now = Time::new(step as f64 * 0.5);
+            m.on_transition(now, 1, 0, "t", &step, &(step + 1), &g);
+            m.on_fault(now, 0, FaultKind::Detectable, &7, &0, &g);
+            let stop = m.should_stop();
+            log.borrow_mut().push(format!("answer {stop}"));
+        }
+    }
+
+    #[test]
+    fn option_and_pair_match_monitor_set_callback_for_callback() {
+        // (a, b, c) stop after these many transitions; `None` drops b.
+        let cases = [
+            (2, 1, 9, true),
+            (9, 3, 1, true),
+            (9, 9, 9, true),
+            (3, 1, 2, false),
+        ];
+        for (sa, sb, sc, b_present) in cases {
+            let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            let logger = |tag, stop_after| Logger {
+                tag,
+                stop_after,
+                seen: 0,
+                log: log.clone(),
+            };
+            let (mut a, mut b, mut c) = (logger("a", sa), logger("b", sb), logger("c", sc));
+            {
+                let mut set = MonitorSet::new().with(&mut a);
+                if b_present {
+                    set.push(&mut b);
+                }
+                set.push(&mut c);
+                drive(&mut set, &log);
+            }
+            let by_set = log.take();
+
+            let (mut a, b, mut c) = (logger("a", sa), logger("b", sb), logger("c", sc));
+            let mut b = b_present.then_some(b);
+            let mut pair = (&mut a, (b.as_mut(), Some(&mut c)));
+            drive(&mut pair, &log);
+            let by_pair = log.take();
+
+            assert_eq!(by_set, by_pair, "case ({sa}, {sb}, {sc}, {b_present})");
+        }
     }
 }

@@ -21,8 +21,8 @@ pub type ActionId = usize;
 /// process's state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReaderSet {
-    /// Unknown / potentially everyone. Always sound; the engine falls back
-    /// to rescanning every guard on every event.
+    /// Unknown / potentially everyone. Always sound; every change of this
+    /// process's state makes the engine re-check every guard.
     All,
     /// Exactly (or a superset of) the processes whose guards read the
     /// queried process's state.
@@ -83,8 +83,10 @@ pub trait Protocol {
     ///
     /// The returned set may over-approximate but must never omit a true
     /// reader; the engine additionally treats every process as a reader of
-    /// itself. The default, [`ReaderSet::All`], is always sound and makes
-    /// the engine fall back to a full guard rescan on every event.
+    /// itself, and skips re-checking a committed guard at maturity when no
+    /// writer it reads has changed. The default, [`ReaderSet::All`], is
+    /// always sound and makes every change of `pid`'s state re-check every
+    /// guard.
     fn readers_of(&self, _pid: Pid) -> ReaderSet {
         ReaderSet::All
     }

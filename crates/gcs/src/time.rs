@@ -5,6 +5,11 @@
 //! that unit. `Time` keeps the convenience of floating point while providing
 //! the total order required by the event queue (NaN is rejected at
 //! construction, so `Ord` is sound).
+//!
+//! Every value is a finite, non-negative `f64` with `-0.0` normalised to
+//! `0.0`, and for such values the IEEE-754 bit pattern, read as a `u64`,
+//! orders exactly as the value does. `Ord` compares those bits, and the
+//! engine packs them into its integer commit key.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -18,14 +23,27 @@ impl Time {
     pub const ZERO: Time = Time(0.0);
 
     /// Construct a time value; panics on NaN or negative input, which would
-    /// corrupt the event queue ordering.
+    /// corrupt the event queue ordering. `-0.0` becomes `0.0` (adding `+0.0`
+    /// changes no other value), so equal times have equal bits.
     #[inline]
     pub fn new(value: f64) -> Time {
         assert!(
             value.is_finite() && value >= 0.0,
             "Time must be finite and non-negative, got {value}"
         );
-        Time(value)
+        Time(value + 0.0)
+    }
+
+    /// The value's bit pattern, which orders exactly as the value does.
+    #[inline]
+    pub(crate) fn to_bits(self) -> u64 {
+        self.0.to_bits()
+    }
+
+    /// Inverse of [`Time::to_bits`].
+    #[inline]
+    pub(crate) fn from_bits(bits: u64) -> Time {
+        Time(f64::from_bits(bits))
     }
 
     #[inline]
@@ -70,8 +88,9 @@ impl PartialOrd for Time {
 impl Ord for Time {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        // Constructor guarantees no NaN.
-        self.0.partial_cmp(&other.0).expect("Time is never NaN")
+        // The constructor admits only finite non-negative values without
+        // -0.0, whose bit patterns order as the values do.
+        self.to_bits().cmp(&other.to_bits())
     }
 }
 
@@ -79,7 +98,14 @@ impl Add for Time {
     type Output = Time;
     #[inline]
     fn add(self, rhs: Time) -> Time {
-        Time::new(self.0 + rhs.0)
+        // Two times sum to a value that is neither negative, NaN nor -0.0;
+        // only an overflow to infinity is left to refuse.
+        let sum = self.0 + rhs.0;
+        assert!(
+            sum.is_finite(),
+            "Time must be finite and non-negative, got {sum}"
+        );
+        Time(sum)
     }
 }
 
@@ -163,6 +189,36 @@ mod tests {
         let b = Time::new(2.0);
         assert_eq!(a.saturating_sub(b), Time::ZERO);
         assert_eq!(b.saturating_sub(a), Time::new(1.0));
+    }
+
+    #[test]
+    fn negative_zero_is_zero() {
+        let z = Time::new(-0.0);
+        assert_eq!(z.to_bits(), Time::ZERO.to_bits());
+        assert!(z.as_f64().is_sign_positive());
+        assert_eq!((Time::new(1.0) * -0.0).to_bits(), 0);
+    }
+
+    #[test]
+    fn bit_order_is_value_order() {
+        let values = [
+            0.0,
+            5e-324,
+            1e-310,
+            f64::MIN_POSITIVE,
+            0.1,
+            1.0,
+            1.5,
+            1e300,
+            f64::MAX,
+        ];
+        for &a in &values {
+            for &b in &values {
+                let (ta, tb) = (Time::new(a), Time::new(b));
+                assert_eq!(ta.cmp(&tb), a.partial_cmp(&b).unwrap(), "{a} vs {b}");
+                assert_eq!(Time::from_bits(ta.to_bits()), ta);
+            }
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl FaultAction<u64> for Zap {
     }
 }
 
-fn run_fingerprint(seed: u64, fault_seed_offset: u64) -> (Vec<u64>, u64, u64, String) {
+fn run_fingerprint(seed: u64) -> (Vec<u64>, u64, u64, String) {
     let ring = Ring {
         n: 6,
         k: 13,
@@ -74,7 +74,6 @@ fn run_fingerprint(seed: u64, fault_seed_offset: u64) -> (Vec<u64>, u64, u64, St
     let mut trace: Trace<u64> = Trace::unbounded();
     let mut faults = PoissonFaults::with_frequency(0.3, VictimPolicy::Random, Zap);
     let config = EngineConfig {
-        seed: seed + fault_seed_offset,
         max_time: Some(Time::new(40.0)),
         ..Default::default()
     };
@@ -97,8 +96,8 @@ proptest! {
     /// Same seed ⇒ byte-identical trace, final state, and statistics.
     #[test]
     fn identical_seeds_identical_runs(seed in 0u64..10_000) {
-        let a = run_fingerprint(seed, 0);
-        let b = run_fingerprint(seed, 0);
+        let a = run_fingerprint(seed);
+        let b = run_fingerprint(seed);
         prop_assert_eq!(a, b);
     }
 
@@ -123,7 +122,7 @@ proptest! {
 fn different_seeds_differ_somewhere() {
     // Not a theorem, but over 20 seeds the traces must not all collide.
     let distinct: std::collections::HashSet<String> =
-        (0..20).map(|s| run_fingerprint(s, 0).3).collect();
+        (0..20).map(|s| run_fingerprint(s).3).collect();
     assert!(
         distinct.len() > 15,
         "only {} distinct traces",

@@ -53,7 +53,6 @@ fn termination_is_announced_and_never_before_all_work_finishes() {
             unsafe_announcements: 0,
         };
         let cfg = EngineConfig {
-            seed: seed ^ 0x5AF2A,
             max_time: Some(Time::new(300.0)),
             ..Default::default()
         };
@@ -86,7 +85,6 @@ fn detector_stabilizes_from_arbitrary_states() {
         let mut engine = Engine::new(&ring, seed);
         engine.perturb_all();
         let cfg = EngineConfig {
-            seed: seed ^ 0x57AB,
             max_time: Some(Time::new(300.0)),
             ..Default::default()
         };
@@ -144,7 +142,6 @@ fn byzantine_wrapper_propagates_forged_announcements_to_correct_members() {
     states[2].good = false;
     let mut engine = Engine::from_state(&wrapped, 0xBAD, states);
     let cfg = EngineConfig {
-        seed: 0xBAD ^ 0xF0,
         max_time: Some(Time::new(60.0)),
         ..Default::default()
     };
@@ -175,7 +172,6 @@ fn safra_run_records_telemetry() {
     let mut tmon = TelemetryMonitor::<SafraState>::new(tele.clone(), 6);
     let mut engine = Engine::new(&ring, 7);
     let cfg = EngineConfig {
-        seed: 0x7E1E,
         max_time: Some(Time::new(50.0)),
         ..Default::default()
     };
@@ -228,7 +224,6 @@ fn engine_run_reaches_agreement_from_perturbed_states() {
     let mut engine = Engine::new(&p, 0xC0);
     engine.perturb_all();
     let cfg = EngineConfig {
-        seed: 0xC0 ^ 0xFE,
         max_time: Some(Time::new(10.0)),
         ..Default::default()
     };
