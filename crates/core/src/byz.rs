@@ -46,8 +46,8 @@ use crate::sweep::{
     pos_in_domain, PosState, SweepBarrier, SweepByzantineFault, SweepUndetectableFault,
 };
 use ftbarrier_gcs::{
-    ActionId, ByzantineFaults, ByzantineProcess, Engine, EngineConfig, FaultAction, MonitorSet,
-    Pid, Protocol, ReaderSet, SimRng, StopReason, Time,
+    ActionId, ByzantineFaults, ByzantineProcess, Engine, EngineConfig, FaultAction, Pid, Protocol,
+    ReaderSet, SimRng, StopReason, Time,
 };
 use ftbarrier_telemetry::{names, Telemetry};
 use ftbarrier_topology::membership::Membership;
@@ -345,10 +345,7 @@ pub fn run_byz_with_telemetry(exp: &ByzExperiment, telemetry: &Telemetry) -> Byz
             max_time: Some(Time::new(exp.horizon - t)),
             ..Default::default()
         };
-        let outcome = {
-            let mut set = MonitorSet::new().with(&mut oracle);
-            engine.run(&config, &mut plan, &mut set)
-        };
+        let outcome = engine.run(&config, &mut plan, &mut oracle);
         segment += 1;
 
         for (pid, remaining) in plan.budgets() {

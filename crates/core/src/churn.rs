@@ -45,7 +45,7 @@ use crate::sweep::{PosState, SweepBarrier, RECV};
 use ftbarrier_gcs::fault::NoFaults;
 use ftbarrier_gcs::trace::TraceEvent;
 use ftbarrier_gcs::{
-    ActionId, Engine, EngineConfig, Masked, Monitor, MonitorSet, Pid, StopReason, Time, Trace,
+    ActionId, Engine, EngineConfig, Masked, Monitor, Pid, StopReason, Time, Trace,
 };
 use ftbarrier_telemetry::{names, Telemetry};
 use ftbarrier_topology::membership::Membership;
@@ -276,13 +276,14 @@ pub fn run_churn_with_telemetry(exp: &ChurnExperiment, telemetry: &Telemetry) ->
                 max_time: Some(Time::new(seg_end - t_base)),
                 ..Default::default()
             };
-            let outcome = {
-                let mut set = MonitorSet::new().with(&mut oracle).with(&mut recvs);
-                if exp.record_trace {
-                    set = set.with(&mut trace);
-                }
-                engine.run(&config, &mut NoFaults, &mut set)
-            };
+            let outcome = engine.run(
+                &config,
+                &mut NoFaults,
+                &mut (
+                    &mut oracle,
+                    (&mut recvs, exp.record_trace.then_some(&mut trace)),
+                ),
+            );
             segment += 1;
 
             // Fold the segment back into base coordinates.

@@ -49,8 +49,8 @@ use crate::telemetry::SweepLatencyMonitor;
 use ftbarrier_gcs::fault::NoFaults;
 use ftbarrier_gcs::trace::{Trace, TraceEvent};
 use ftbarrier_gcs::{
-    ActionId, CausalMonitor, Engine, EngineConfig, FaultAction, FaultKind, Monitor, MonitorSet,
-    Pid, PoissonFaults, Protocol, SimRng, TelemetryMonitor, Time, VictimPolicy,
+    ActionId, CausalMonitor, Engine, EngineConfig, FaultAction, FaultKind, Monitor, Pid,
+    PoissonFaults, Protocol, SimRng, TelemetryMonitor, Time, VictimPolicy,
 };
 use ftbarrier_telemetry::{CausalRecorder, Telemetry, TimeDomain};
 use ftbarrier_topology::membership::Membership;
@@ -101,10 +101,7 @@ pub fn run_classic_telemetry(
     let mut lmon = SweepLatencyMonitor::new(&program, spec.label(), telemetry.clone());
     let cfg = differential_config(30.0, full_rescan);
     let out = {
-        let mut set = MonitorSet::new()
-            .with(&mut trace)
-            .with(&mut tmon)
-            .with(&mut lmon);
+        let mut set = (&mut trace, (&mut tmon, &mut lmon));
         if fault_rate > 0.0 {
             let mut faults =
                 ProcessFaults::new(&program, fault_rate, SweepDetectableFault { n_phases: 8 });
@@ -148,7 +145,7 @@ pub fn run_classic_causal(
     let mut trace = Trace::unbounded();
     let cfg = differential_config(30.0, full_rescan);
     let out = {
-        let mut set = MonitorSet::new().with(&mut trace).with(&mut cmon);
+        let mut set = (&mut trace, &mut cmon);
         if fault_rate > 0.0 {
             let mut faults =
                 ProcessFaults::new(&program, fault_rate, SweepDetectableFault { n_phases: 8 });
@@ -221,13 +218,7 @@ fn run_protocol<P: Protocol>(
     let mut faults =
         PoissonFaults::with_rate(fault_rate, VictimPolicy::Random, ArbitraryFault(protocol));
     let cfg = differential_config(horizon, full_rescan);
-    let out = {
-        let mut set = MonitorSet::new()
-            .with(&mut trace)
-            .with(&mut tmon)
-            .with(&mut cmon);
-        engine.run(&cfg, &mut faults, &mut set)
-    };
+    let out = engine.run(&cfg, &mut faults, &mut (&mut trace, (&mut tmon, &mut cmon)));
     let dump = if armed {
         recorder
             .snapshot()
@@ -393,10 +384,7 @@ pub fn check_sweep_completeness(spec: TopologySpec) {
         max_time: Some(Time::new(200.0)),
         ..Default::default()
     };
-    {
-        let mut set = MonitorSet::new().with(&mut oracle).with(&mut coverage);
-        engine.run(&cfg, &mut NoFaults, &mut set);
-    }
+    engine.run(&cfg, &mut NoFaults, &mut (&mut oracle, &mut coverage));
     assert_eq!(
         oracle.oracle.phases_completed(),
         target,

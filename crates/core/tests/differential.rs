@@ -21,7 +21,6 @@ use ftbarrier_core::testkit::{
 use ftbarrier_core::token_ring::TokenRing;
 use ftbarrier_core::Sn;
 use ftbarrier_gcs::fault::NoFaults;
-use ftbarrier_gcs::monitor::MonitorSet;
 use ftbarrier_gcs::trace::{Trace, TraceEvent};
 use ftbarrier_gcs::{Engine, EngineConfig, Time};
 use ftbarrier_telemetry::{Telemetry, TimeDomain};
@@ -155,10 +154,7 @@ fn plain_churn_reference(
         max_time: Some(Time::new(horizon)),
         ..Default::default()
     };
-    {
-        let mut set = MonitorSet::new().with(&mut oracle).with(&mut trace);
-        engine.run(&cfg, &mut NoFaults, &mut set);
-    }
+    engine.run(&cfg, &mut NoFaults, &mut (&mut oracle, &mut trace));
     (trace.events().cloned().collect(), engine.global().to_vec())
 }
 

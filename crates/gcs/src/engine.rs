@@ -34,18 +34,19 @@
 //! * **Dirty-set scheduling.** [`Protocol::readers_of`] names, per writer,
 //!   the processes whose guards read it; a writer that answers
 //!   [`ReaderSet::All`] is read by every process, and only that writer's
-//!   changes wake everyone. The engine re-evaluates guards only for the
-//!   *dirty set*: processes whose state changed since the last scheduling
-//!   pass, plus their readers. This is sound because guard truth at an
-//!   untouched process cannot change when no state it reads changed — an
-//!   idle, non-dirty process provably has no enabled action, so skipping it
-//!   is exact, not approximate. The dirty set is a bitset of `u64` words
-//!   plus the list of words that hold a set bit; a scheduling pass sorts
-//!   that short list and walks each word's bits from low to high, so dirty
-//!   pids are visited in ascending pid order and the RNG consumes the
-//!   identical stream the full rescan would (idle non-dirty pids never reach
-//!   the nondeterministic choice), making both modes produce byte-identical
-//!   runs.
+//!   changes wake everyone — one word fill per scheduling pass, however
+//!   many such writers change in it. The engine re-evaluates guards only
+//!   for the *dirty set*: processes whose state changed since the last
+//!   scheduling pass, plus their readers. This is sound because guard
+//!   truth at an untouched process cannot change when no state it reads
+//!   changed — an idle, non-dirty process provably has no enabled action,
+//!   so skipping it is exact, not approximate. The dirty set is a bitset
+//!   of `u64` words plus the list of words that hold a set bit; a
+//!   scheduling pass sorts that short list and walks each word's bits from
+//!   low to high, so dirty pids are visited in ascending pid order and the
+//!   RNG consumes the identical stream the full rescan would (idle
+//!   non-dirty pids never reach the nondeterministic choice), making both
+//!   modes produce byte-identical runs.
 //! * **Stale-only re-check.** A commit's guard is re-evaluated at maturity
 //!   only if the commit is *stale*: some state its guard reads changed after
 //!   it committed, which is exactly when a write, a [`Engine::set_state`] or
@@ -168,12 +169,11 @@ fn key_pid(key: u128) -> Pid {
 
 /// Every process's guard readers in one compressed-row table:
 /// `readers[offsets[q]..offsets[q + 1]]` are the sorted, deduped pids whose
-/// guards read q's state, always including q itself. A writer that answered
-/// [`ReaderSet::All`] has an empty row and its `read_by_all` flag set.
+/// guards read q's state, always including q itself — so a row is empty only
+/// when q answered [`ReaderSet::All`].
 struct ReaderTable {
     offsets: Vec<u32>,
     readers: Vec<u32>,
-    read_by_all: Vec<bool>,
 }
 
 impl ReaderTable {
@@ -183,45 +183,38 @@ impl ReaderTable {
         assert!(n <= u32::MAX as usize, "pids must fit the u32 reader table");
         let mut offsets = Vec::with_capacity(n + 1);
         let mut readers = Vec::new();
-        let mut read_by_all = Vec::with_capacity(n);
         offsets.push(0);
         for pid in 0..n {
-            match protocol.readers_of(pid) {
-                ReaderSet::All => read_by_all.push(true),
-                ReaderSet::These(mut these) => {
-                    read_by_all.push(false);
-                    these.push(pid);
-                    these.sort_unstable();
-                    these.dedup();
-                    assert!(
-                        these.iter().all(|&r| r < n),
-                        "readers_of({pid}) names a pid out of range (n={n})"
-                    );
-                    readers.extend(these.iter().map(|&r| r as u32));
-                }
+            if let ReaderSet::These(mut these) = protocol.readers_of(pid) {
+                these.push(pid);
+                these.sort_unstable();
+                these.dedup();
+                assert!(
+                    these.iter().all(|&r| r < n),
+                    "readers_of({pid}) names a pid out of range (n={n})"
+                );
+                readers.extend(these.iter().map(|&r| r as u32));
             }
             offsets.push(u32::try_from(readers.len()).expect("reader table overflows u32"));
         }
-        ReaderTable {
-            offsets,
-            readers,
-            read_by_all,
-        }
+        ReaderTable { offsets, readers }
     }
 
     /// The readers of `pid`, or `None` when every pid reads it.
     #[inline]
     fn of(&self, pid: Pid) -> Option<&[u32]> {
-        (!self.read_by_all[pid])
-            .then(|| &self.readers[self.offsets[pid] as usize..self.offsets[pid + 1] as usize])
+        let row = &self.readers[self.offsets[pid] as usize..self.offsets[pid + 1] as usize];
+        (!row.is_empty()).then_some(row)
     }
 }
 
 /// The dirty set: one bit per pid in `words`, and in `listed` the index of
 /// every word that has a bit set, so a pass touches only those words.
+/// `full` is set from a [`DirtySet::fill`] until the set is next emptied.
 struct DirtySet {
     words: Vec<u64>,
     listed: Vec<u32>,
+    full: bool,
 }
 
 impl DirtySet {
@@ -230,6 +223,7 @@ impl DirtySet {
         DirtySet {
             words: vec![0; words],
             listed: Vec::with_capacity(words),
+            full: false,
         }
     }
 
@@ -251,6 +245,7 @@ impl DirtySet {
         }
         self.listed.clear();
         self.listed.extend(0..self.words.len() as u32);
+        self.full = true;
     }
 
     fn clear(&mut self) {
@@ -258,6 +253,7 @@ impl DirtySet {
             self.words[w as usize] = 0;
         }
         self.listed.clear();
+        self.full = false;
     }
 }
 
@@ -394,6 +390,11 @@ impl<'p, P: Protocol> Engine<'p, P> {
                     }
                 }
             }
+            // Commits are made only by `schedule`, which empties the set, so
+            // while it stays full every pending commit was already marked
+            // (or emptied by `set_state`/`perturb_all`) when it filled: a
+            // second `All` write before the next pass changes nothing.
+            None if self.dirty.full => {}
             None => {
                 self.dirty.fill(self.pending.len());
                 for p in self.pending.iter_mut().flatten() {
@@ -443,6 +444,7 @@ impl<'p, P: Protocol> Engine<'p, P> {
                 }
             }
             self.dirty.listed.clear();
+            self.dirty.full = false;
         } else {
             // Reference path: rescan every guard. Dirty bookkeeping is
             // still cleared so a later incremental run starts from the same

@@ -55,7 +55,7 @@ pub use fault::{
 };
 pub use interleave::{ChoicePolicy, Interleaving, InterleavingConfig};
 pub use mask::Masked;
-pub use monitor::{Monitor, MonitorSet, NullMonitor};
+pub use monitor::{Monitor, NullMonitor};
 pub use protocol::{ActionId, Pid, Protocol, ReaderSet};
 pub use rng::SimRng;
 pub use stats::RunStats;

@@ -119,9 +119,10 @@ impl<S, M: Monitor<S>> Monitor<S> for Option<M> {
     }
 }
 
-/// Two observers in order — the statically dispatched [`MonitorSet`]: each
-/// callback reaches the first, then the second, and `should_stop` asks the
-/// second only when the first declines, as [`MonitorSet`] does.
+/// Two observers in order: each callback reaches the first, then the second,
+/// and `should_stop` asks the second only when the first declines. Nest pairs
+/// for more members, and wrap a conditional member in an [`Option`]:
+/// `(&mut oracle, (&mut trace, record.then_some(&mut extra)))`.
 impl<S, A: Monitor<S>, B: Monitor<S>> Monitor<S> for (A, B) {
     #[inline]
     fn on_transition(
@@ -149,61 +150,6 @@ impl<S, A: Monitor<S>, B: Monitor<S>> Monitor<S> for (A, B) {
     #[inline]
     fn should_stop(&mut self) -> bool {
         self.0.should_stop() || self.1.should_stop()
-    }
-}
-
-/// Combine several monitors; stops when any member asks to stop.
-pub struct MonitorSet<'a, S> {
-    members: Vec<&'a mut dyn Monitor<S>>,
-}
-
-impl<'a, S> MonitorSet<'a, S> {
-    pub fn new() -> Self {
-        MonitorSet {
-            members: Vec::new(),
-        }
-    }
-
-    pub fn with(mut self, monitor: &'a mut dyn Monitor<S>) -> Self {
-        self.members.push(monitor);
-        self
-    }
-
-    pub fn push(&mut self, monitor: &'a mut dyn Monitor<S>) {
-        self.members.push(monitor);
-    }
-}
-
-impl<'a, S> Default for MonitorSet<'a, S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<'a, S> Monitor<S> for MonitorSet<'a, S> {
-    fn on_transition(
-        &mut self,
-        now: Time,
-        pid: Pid,
-        action: ActionId,
-        name: &'static str,
-        old: &S,
-        new: &S,
-        global: &[S],
-    ) {
-        for m in &mut self.members {
-            m.on_transition(now, pid, action, name, old, new, global);
-        }
-    }
-
-    fn on_fault(&mut self, now: Time, pid: Pid, kind: FaultKind, old: &S, new: &S, global: &[S]) {
-        for m in &mut self.members {
-            m.on_fault(now, pid, kind, old, new, global);
-        }
-    }
-
-    fn should_stop(&mut self) -> bool {
-        self.members.iter_mut().any(|m| m.should_stop())
     }
 }
 
@@ -236,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn set_fans_out_and_stops() {
+    fn pair_fans_out_and_stops() {
         let mut a = Counter {
             transitions: 0,
             stop_after: 2,
@@ -245,15 +191,17 @@ mod tests {
             transitions: 0,
             stop_after: 100,
         };
-        let mut set = MonitorSet::new().with(&mut a).with(&mut b);
+        let mut pair = (&mut a, &mut b);
         let g = [0u64];
-        set.on_transition(Time::ZERO, 0, 0, "t", &0, &1, &g);
-        assert!(!set.should_stop());
-        set.on_transition(Time::ZERO, 0, 0, "t", &1, &2, &g);
-        assert!(set.should_stop());
+        pair.on_transition(Time::ZERO, 0, 0, "t", &0, &1, &g);
+        assert!(!pair.should_stop());
+        pair.on_transition(Time::ZERO, 0, 0, "t", &1, &2, &g);
+        assert!(pair.should_stop());
         assert_eq!(a.transitions, 2);
         assert_eq!(b.transitions, 2);
     }
+
+    type Log = std::rc::Rc<std::cell::RefCell<Vec<String>>>;
 
     /// Logs every callback it receives, tagged, into a shared log; asks to
     /// stop once it has seen `stop_after` transitions.
@@ -261,7 +209,7 @@ mod tests {
         tag: &'static str,
         stop_after: usize,
         seen: usize,
-        log: std::rc::Rc<std::cell::RefCell<Vec<String>>>,
+        log: Log,
     }
 
     impl Monitor<u64> for Logger {
@@ -269,90 +217,106 @@ mod tests {
             &mut self,
             now: Time,
             pid: Pid,
-            action: ActionId,
-            name: &'static str,
+            _action: ActionId,
+            _name: &'static str,
             old: &u64,
             new: &u64,
-            global: &[u64],
+            _global: &[u64],
         ) {
             self.seen += 1;
             self.log.borrow_mut().push(format!(
-                "{} transition {now:?} {pid} {action} {name} {old} {new} {global:?}",
-                self.tag
+                "{} t {} p{pid} {old}->{new}",
+                self.tag,
+                now.as_f64()
             ));
         }
 
         fn on_fault(
             &mut self,
-            now: Time,
+            _now: Time,
             pid: Pid,
-            kind: FaultKind,
-            old: &u64,
-            new: &u64,
-            global: &[u64],
+            _kind: FaultKind,
+            _old: &u64,
+            _new: &u64,
+            _global: &[u64],
         ) {
-            self.log.borrow_mut().push(format!(
-                "{} fault {now:?} {pid} {kind:?} {old} {new} {global:?}",
-                self.tag
-            ));
+            self.log.borrow_mut().push(format!("{} f p{pid}", self.tag));
         }
 
         fn should_stop(&mut self) -> bool {
             let stop = self.seen >= self.stop_after;
             self.log
                 .borrow_mut()
-                .push(format!("{} should_stop {stop}", self.tag));
+                .push(format!("{} stop? {stop}", self.tag));
             stop
         }
     }
 
-    /// Feed one fixed callback sequence to `m`, logging its answers.
-    fn drive(m: &mut dyn Monitor<u64>, log: &std::cell::RefCell<Vec<String>>) {
+    /// Feed two steps (a transition, a fault, a stop question) to `m` and
+    /// return the log, each step closed by the combined answer.
+    fn drive<M: Monitor<u64>>(m: &mut M, log: &Log) -> Vec<String> {
         let g = [3u64, 4];
-        for step in 0..4u64 {
+        for step in 0..2u64 {
             let now = Time::new(step as f64 * 0.5);
             m.on_transition(now, 1, 0, "t", &step, &(step + 1), &g);
             m.on_fault(now, 0, FaultKind::Detectable, &7, &0, &g);
             let stop = m.should_stop();
-            log.borrow_mut().push(format!("answer {stop}"));
+            log.borrow_mut().push(format!("= {stop}"));
         }
+        log.take()
     }
 
     #[test]
-    fn option_and_pair_match_monitor_set_callback_for_callback() {
-        // (a, b, c) stop after these many transitions; `None` drops b.
-        let cases = [
-            (2, 1, 9, true),
-            (9, 3, 1, true),
-            (9, 9, 9, true),
-            (3, 1, 2, false),
+    fn nested_pairs_and_options_call_members_in_order_and_short_circuit() {
+        let log = Log::default();
+        let logger = |tag, stop_after| Logger {
+            tag,
+            stop_after,
+            seen: 0,
+            log: log.clone(),
+        };
+
+        // All three present: b stops first, so c is never asked.
+        let (mut a, mut b, mut c) = (logger("a", 2), logger("b", 1), logger("c", 9));
+        let got = drive(&mut (&mut a, (Some(&mut b), Some(&mut c))), &log);
+        #[rustfmt::skip]
+        let want = [
+            "a t 0 p1 0->1", "b t 0 p1 0->1", "c t 0 p1 0->1",
+            "a f p0", "b f p0", "c f p0",
+            "a stop? false", "b stop? true", "= true",
+            "a t 0.5 p1 1->2", "b t 0.5 p1 1->2", "c t 0.5 p1 1->2",
+            "a f p0", "b f p0", "c f p0",
+            "a stop? true", "= true",
         ];
-        for (sa, sb, sc, b_present) in cases {
-            let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-            let logger = |tag, stop_after| Logger {
-                tag,
-                stop_after,
-                seen: 0,
-                log: log.clone(),
-            };
-            let (mut a, mut b, mut c) = (logger("a", sa), logger("b", sb), logger("c", sc));
-            {
-                let mut set = MonitorSet::new().with(&mut a);
-                if b_present {
-                    set.push(&mut b);
-                }
-                set.push(&mut c);
-                drive(&mut set, &log);
-            }
-            let by_set = log.take();
+        assert_eq!(got, want);
 
-            let (mut a, b, mut c) = (logger("a", sa), logger("b", sb), logger("c", sc));
-            let mut b = b_present.then_some(b);
-            let mut pair = (&mut a, (b.as_mut(), Some(&mut c)));
-            drive(&mut pair, &log);
-            let by_pair = log.take();
+        // An absent middle member sees nothing and is never asked.
+        let (mut a, mut c) = (logger("a", 9), logger("c", 2));
+        let got = drive(&mut (&mut a, (None::<&mut Logger>, &mut c)), &log);
+        #[rustfmt::skip]
+        let want = [
+            "a t 0 p1 0->1", "c t 0 p1 0->1",
+            "a f p0", "c f p0",
+            "a stop? false", "c stop? false", "= false",
+            "a t 0.5 p1 1->2", "c t 0.5 p1 1->2",
+            "a f p0", "c f p0",
+            "a stop? false", "c stop? true", "= true",
+        ];
+        assert_eq!(got, want);
 
-            assert_eq!(by_set, by_pair, "case ({sa}, {sb}, {sc}, {b_present})");
-        }
+        // A `&mut dyn` member dispatches like a concrete one.
+        let (mut a, mut c) = (logger("a", 1), logger("c", 1));
+        let dynamic: &mut dyn Monitor<u64> = &mut c;
+        let got = drive(&mut (&mut a, dynamic), &log);
+        assert_eq!(
+            got[..5],
+            [
+                "a t 0 p1 0->1",
+                "c t 0 p1 0->1",
+                "a f p0",
+                "c f p0",
+                "a stop? true"
+            ]
+        );
     }
 }
