@@ -174,49 +174,36 @@ const RESEND_CAP_STEP: u8 = 2;
 /// next change resets it. The cap keeps a bounded heartbeat, so a live
 /// process never falls silent for longer than [`Resend::deadline`] allows.
 ///
-/// Every send arms one timer, tagged with a generation; a driver that keeps
-/// timers in a queue drops the ones a later send superseded
-/// ([`Resend::is_live`]).
+/// Every send arms the process's one resend timer, replacing the one an
+/// earlier send armed: a driver keeps one timer per process, not a queue.
 #[derive(Debug, Clone, Copy)]
 pub struct Resend {
     base: Time,
     step: u8,
-    gen: u64,
 }
 
 impl Resend {
     /// The policy at period `base`, capped at `4 × base`.
     pub fn new(base: Time) -> Resend {
-        Resend {
-            base,
-            step: 0,
-            gen: 0,
-        }
+        Resend { base, step: 0 }
     }
 
     /// The state changed and went out: restart the schedule. Returns the
-    /// delay until the first resend and the generation of its timer.
-    pub fn changed(&mut self) -> (Time, u64) {
+    /// delay until the first resend.
+    pub fn changed(&mut self) -> Time {
         self.step = 0;
-        self.arm()
+        self.delay()
     }
 
     /// Unchanged state was resent: back off one step. Returns the delay
-    /// until the next resend and the generation of its timer.
-    pub fn resent(&mut self) -> (Time, u64) {
+    /// until the next resend.
+    pub fn resent(&mut self) -> Time {
         self.step = (self.step + 1).min(RESEND_CAP_STEP);
-        self.arm()
+        self.delay()
     }
 
-    fn arm(&mut self) -> (Time, u64) {
-        self.gen += 1;
-        (self.base * f64::from(1u32 << self.step), self.gen)
-    }
-
-    /// Whether the timer of generation `gen` is the one the latest send
-    /// armed, rather than one it superseded.
-    pub fn is_live(&self, gen: u64) -> bool {
-        gen == self.gen
+    fn delay(&self) -> Time {
+        self.base * f64::from(1u32 << self.step)
     }
 
     /// The longest the next `resends` resends of unchanged state take from
@@ -630,27 +617,16 @@ mod tests {
 
     /// Delays until each of the next `k` resends of unchanged state.
     fn schedule(r: &mut Resend, k: usize) -> Vec<f64> {
-        (0..k).map(|_| r.resent().0.as_f64()).collect()
+        (0..k).map(|_| r.resent().as_f64()).collect()
     }
 
     #[test]
     fn resend_interval_doubles_to_the_cap_and_a_change_resets_it() {
         let mut r = Resend::new(Time::new(0.25));
-        assert_eq!(r.changed().0.as_f64(), 0.25);
+        assert_eq!(r.changed().as_f64(), 0.25);
         assert_eq!(schedule(&mut r, 5), [0.5, 1.0, 1.0, 1.0, 1.0]);
-        assert_eq!(r.changed().0.as_f64(), 0.25, "a change resets the backoff");
+        assert_eq!(r.changed().as_f64(), 0.25, "a change resets the backoff");
         assert_eq!(schedule(&mut r, 2), [0.5, 1.0]);
-    }
-
-    #[test]
-    fn only_the_timer_of_the_latest_send_is_live() {
-        let mut r = Resend::new(Time::new(0.05));
-        let (_, first) = r.changed();
-        assert!(r.is_live(first));
-        let (_, second) = r.resent();
-        assert!(!r.is_live(first) && r.is_live(second));
-        let (_, third) = r.changed();
-        assert!(!r.is_live(second) && r.is_live(third));
     }
 
     #[test]
@@ -660,9 +636,9 @@ mod tests {
                 // After a change and `earlier` resends, the next `k` resends
                 // take the pending delay plus `k - 1` more intervals.
                 let mut r = Resend::new(Time::new(0.05));
-                let mut pending = r.changed().0.as_f64();
+                let mut pending = r.changed().as_f64();
                 for _ in 0..earlier {
-                    pending = r.resent().0.as_f64();
+                    pending = r.resent().as_f64();
                 }
                 let sum = pending + schedule(&mut r, k as usize - 1).iter().sum::<f64>();
                 let deadline = r.deadline(k).as_f64();

@@ -6,17 +6,21 @@
 //! [`crate::sweep_sim`] runs [`SweepCore`](crate::sweep_core::SweepCore)s;
 //! each keeps only its configuration, its report and its fault menu, as a
 //! `Program`. The driver owns everything else: the network and one port per
-//! process onto it, the control-event heap, one [`Resend`] schedule and one
-//! down flag per process, the message, advance and event counts, the run log
-//! ([`TraceLog`]), the oracle replay and the flight dump.
+//! process onto it, the program's event heap, one [`Resend`] schedule, one
+//! resend-timer slot and one down flag per process, the message, advance and
+//! event counts, the run log ([`TraceLog`]), the oracle replay and the
+//! flight dump.
 //!
-//! Event model: message deliveries wait in the [`SimNet`] queue; everything
-//! else — resend timers and the program's own events — waits in the control
-//! heap, keyed `(time, seq)` like the network queue. Each step takes the
-//! earliest of the two (a delivery wins a tie), advances the network to its
-//! time and drives the consumer of every link that received something. A
-//! superseded resend timer is dropped unseen. One seed determines
-//! everything, so a run is byte-for-byte replayable.
+//! Event model: message deliveries wait in the [`SimNet`] queue, each
+//! process's resend timer in its slot of `Timers`, and the program's own
+//! events in a heap. Timers and program events share one control sequence
+//! and are keyed `(time, seq)` like the network queue, so at equal times
+//! whichever was armed or scheduled first fires first. Each step takes
+//! the earliest of the three (a delivery wins a tie), advances the network
+//! to its time and drives the consumer of every link that received
+//! something. A send re-arms its process's slot, which replaces the timer an
+//! earlier send armed. One seed determines everything, so a run is
+//! byte-for-byte replayable.
 
 use crate::channel::Delivery;
 use crate::proc::{pump, CpEvent, Process, Pumped, Resend, StateMsg};
@@ -140,12 +144,71 @@ pub(crate) trait Program: Sized {
     fn after_event(_sim: &mut Sim<Self>) {}
 }
 
-/// Control events: the driver's resend timers and the program's own.
-/// `Resend { pid, gen }` is `pid`'s resend timer of generation `gen`; only
-/// the newest is live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// One resend-timer slot per process, as a tournament tree over the slots'
+/// [`event_key`]s: every node holds the least key under it and the slot
+/// that holds it, so arming, re-arming or emptying a slot replays its
+/// leaf-to-root path and the earliest timer is read at the root. An empty
+/// slot holds `u128::MAX`, which no armed key reaches.
+#[derive(Debug, Clone)]
+pub(crate) struct Timers {
+    /// `key[node]` and `slot[node]`: the least key under `node` and its
+    /// slot. The root is node 1, node `k` has children `2k` and `2k + 1`,
+    /// and slot `s` is the leaf `width + s`, padded with empty slots to a
+    /// power of two.
+    key: Vec<u128>,
+    slot: Vec<u32>,
+}
+
+impl Timers {
+    const EMPTY: u128 = u128::MAX;
+
+    /// `n` empty slots.
+    pub fn new(n: usize) -> Timers {
+        let width = n.max(1).next_power_of_two();
+        let leaves = u32::try_from(width).expect("fewer than 2^32 timer slots");
+        let mut slot = vec![0; width];
+        slot.extend(0..leaves);
+        for node in (1..width).rev() {
+            slot[node] = slot[2 * node];
+        }
+        Timers {
+            key: vec![Self::EMPTY; 2 * width],
+            slot,
+        }
+    }
+
+    /// Arm slot `s` with `key`, replacing whatever it held.
+    #[inline]
+    pub fn arm(&mut self, s: usize, key: u128) {
+        let mut node = self.slot.len() / 2 + s;
+        self.key[node] = key;
+        while node > 1 {
+            let left = node & !1;
+            let win = left + usize::from(self.key[left + 1] < self.key[left]);
+            node /= 2;
+            self.key[node] = self.key[win];
+            self.slot[node] = self.slot[win];
+        }
+    }
+
+    /// Empty slot `s`: it never fires until armed again.
+    #[inline]
+    pub fn empty(&mut self, s: usize) {
+        self.arm(s, Self::EMPTY);
+    }
+
+    /// The earliest armed timer as `(key, slot)`.
+    #[inline]
+    pub fn peek(&self) -> Option<(u128, usize)> {
+        (self.key[1] != Self::EMPTY).then(|| (self.key[1], self.slot[1] as usize))
+    }
+}
+
+/// The control event a step fires: `pid`'s resend timer, or one of the
+/// program's own events.
+#[derive(Debug, Clone, Copy)]
 enum Ctl<E> {
-    Resend { pid: usize, gen: u64 },
+    Resend(usize),
     Of(E),
 }
 
@@ -249,6 +312,8 @@ pub(crate) struct Sim<P: Program> {
     /// drained unread and its resend timer dies.
     pub down: Vec<bool>,
     resend: Vec<Resend>,
+    /// Each process's one live resend timer.
+    timers: Timers,
     pub messages_sent: Vec<u64>,
     /// Genuine root phase advances.
     pub advances: u64,
@@ -256,7 +321,9 @@ pub(crate) struct Sim<P: Program> {
     pub events_processed: u64,
     pub trace: TraceLog,
     pub now: Time,
-    ctl: BinaryHeap<Reverse<(u128, Ctl<P::Event>)>>,
+    /// The program's own events.
+    ctl: BinaryHeap<Reverse<(u128, P::Event)>>,
+    /// Orders timers and program events at equal times.
     ctl_seq: u64,
     recorder: CausalRecorder,
 }
@@ -298,6 +365,7 @@ impl<P: Program> Sim<P> {
             dest,
             down: vec![false; n],
             resend: vec![Resend::new(Time::new(retransmit_every)); n],
+            timers: Timers::new(n),
             messages_sent: vec![0; n],
             advances: 0,
             events_processed: 0,
@@ -309,16 +377,17 @@ impl<P: Program> Sim<P> {
         }
     }
 
-    fn push_ctl(&mut self, at: f64, ev: Ctl<P::Event>) {
-        assert!(at.is_finite() && at >= 0.0, "fault plan time {at} invalid");
+    /// The next control key at `at`.
+    fn ctl_key(&mut self, at: Time) -> u128 {
         self.ctl_seq += 1;
-        self.ctl
-            .push(Reverse((event_key(Time::new(at), self.ctl_seq), ev)));
+        event_key(at, self.ctl_seq)
     }
 
     /// Schedule one of the program's events at virtual time `at`.
     pub fn schedule(&mut self, at: f64, ev: P::Event) {
-        self.push_ctl(at, Ctl::Of(ev));
+        assert!(at.is_finite() && at >= 0.0, "fault plan time {at} invalid");
+        let key = self.ctl_key(Time::new(at));
+        self.ctl.push(Reverse((key, ev)));
     }
 
     /// Schedule `ev(target)` at each `(time, target)` of the fault-plan
@@ -335,35 +404,39 @@ impl<P: Program> Sim<P> {
 
     /// Publish `pid`'s changed state and restart its resend schedule.
     pub fn gossip(&mut self, pid: usize) {
-        let timer = self.resend[pid].changed();
-        self.publish(pid, timer);
+        let delay = self.resend[pid].changed();
+        self.publish(pid, delay);
     }
 
-    /// Send `pid`'s state, then arm its one resend timer, generation `gen`,
-    /// `delay` from now (superseding any earlier one).
-    fn publish(&mut self, pid: usize, (delay, gen): (Time, u64)) {
+    /// Send `pid`'s state, then arm its resend-timer slot `delay` from now,
+    /// replacing the timer an earlier send armed.
+    fn publish(&mut self, pid: usize, delay: Time) {
         let port = &mut self.wire.port(pid, None);
         self.messages_sent[pid] += self.cores[pid].gossip(port);
         // A core that flushed its burst (the sweep's) left nothing staged.
         if !self.wire.staged.is_empty() {
             self.wire.send_staged(pid, false);
         }
-        self.push_ctl((self.now + delay).as_f64(), Ctl::Resend { pid, gen });
+        let key = self.ctl_key(self.now + delay);
+        self.timers.arm(pid, key);
     }
 
-    /// A live resend timer fired. A down process's timer dies with it; a
-    /// live one releases any reorder-held message (the link went quiet) and
-    /// resends its unchanged state one backoff step later. The heartbeat
-    /// keeps live processes visibly fresh in the flight recorder, so a
-    /// silent one stands out as stalest in a wedge dump.
+    /// `pid`'s resend timer fired; it still holds the slot, and this either
+    /// empties or re-arms it. A down process's timer dies with it: the slot
+    /// is emptied. A live one releases any reorder-held message (the link
+    /// went quiet), resends its unchanged state and re-arms the slot one
+    /// backoff step later. The heartbeat keeps live processes visibly fresh
+    /// in the flight recorder, so a silent one stands out as stalest in a
+    /// wedge dump.
     fn resend(&mut self, pid: usize) {
         if self.down[pid] {
+            self.timers.empty(pid);
             return;
         }
         self.wire.send_staged(pid, true);
         self.cores[pid].record_heartbeat(self.now);
-        let timer = self.resend[pid].resent();
-        self.publish(pid, timer);
+        let delay = self.resend[pid].resent();
+        self.publish(pid, delay);
     }
 
     /// Absorb what arrived on the link `pid` reads and fire its guarded
@@ -420,15 +493,16 @@ impl<P: Program> Sim<P> {
             if self.advances >= target {
                 return None;
             }
-            // A superseded resend timer is no scheduling point: drop it unseen.
-            while let Some(&Reverse((_, Ctl::Resend { pid, gen }))) = self.ctl.peek() {
-                if self.resend[pid].is_live(gen) {
-                    break;
-                }
-                self.ctl.pop();
-            }
             let t_net = self.wire.net.next_event_time();
-            let t_ctl = self.ctl.peek().map(|&Reverse((key, _))| key_time(key));
+            // The earlier of the first timer (`Some(pid)`) and the first
+            // program event (`None`); keys are unique, one `ctl_seq` each.
+            let timer = self.timers.peek().map(|(key, pid)| (key, Some(pid)));
+            let event = self.ctl.peek().map(|&Reverse((key, _))| (key, None));
+            let next_ctl = match (timer, event) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            let t_ctl = next_ctl.map(|(key, _)| key_time(key));
             // Deliveries win ties against control events.
             let (t, is_net) = match (t_net, t_ctl) {
                 // Quiescent: nothing can ever happen again.
@@ -441,7 +515,11 @@ impl<P: Program> Sim<P> {
                 break "max_time";
             }
             self.now = t;
-            let ev = (!is_net).then(|| self.ctl.pop().expect("peeked").0 .1);
+            let ev = match next_ctl {
+                _ if is_net => None,
+                Some((_, Some(pid))) => Some(Ctl::Resend(pid)),
+                _ => Some(Ctl::Of(self.ctl.pop().expect("peeked").0 .1)),
+            };
             self.events_processed += 1;
             // Always advance the network clock to the scheduling point, even
             // for control events — messages sent while handling them must be
@@ -462,7 +540,7 @@ impl<P: Program> Sim<P> {
                 }
             }
             match ev {
-                Some(Ctl::Resend { pid, .. }) => self.resend(pid),
+                Some(Ctl::Resend(pid)) => self.resend(pid),
                 Some(Ctl::Of(ev)) => P::on_event(self, ev),
                 None => {}
             }
@@ -487,5 +565,130 @@ impl<P: Program> Sim<P> {
         events.sort_by_key(|e| e.seq);
         let replayed = replay_segments(n_phases, self.cores.len(), &events, segments);
         (events, replayed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ftbarrier_gcs::SimRng;
+
+    fn key(at: f64, seq: u64) -> u128 {
+        event_key(Time::new(at), seq)
+    }
+
+    /// Fire every armed timer, earliest first: `(slot, time)` per firing.
+    fn drain(timers: &mut Timers) -> Vec<(usize, f64)> {
+        let mut fired = Vec::new();
+        while let Some((k, slot)) = timers.peek() {
+            assert!(fired.len() < timers.slot.len(), "a slot fired twice");
+            timers.empty(slot);
+            fired.push((slot, key_time(k).as_f64()));
+        }
+        fired
+    }
+
+    #[test]
+    fn equal_times_on_different_slots_fire_in_arming_order() {
+        let mut t = Timers::new(8);
+        t.arm(5, key(1.0, 3));
+        t.arm(1, key(1.0, 4));
+        t.arm(6, key(1.0, 2));
+        t.arm(0, key(0.5, 9));
+        assert_eq!(drain(&mut t), [(0, 0.5), (6, 1.0), (5, 1.0), (1, 1.0)]);
+    }
+
+    #[test]
+    fn re_arming_a_slot_replaces_its_old_key() {
+        let mut t = Timers::new(4);
+        t.arm(2, key(1.0, 1));
+        t.arm(1, key(2.0, 2));
+        t.arm(2, key(3.0, 3));
+        assert_eq!(t.peek(), Some((key(2.0, 2), 1)));
+        // Earlier again: a re-arm may move a slot either way.
+        t.arm(2, key(0.5, 4));
+        assert_eq!(drain(&mut t), [(2, 0.5), (1, 2.0)], "one timer per slot");
+    }
+
+    #[test]
+    fn an_emptied_slot_never_fires() {
+        let mut t = Timers::new(3);
+        assert_eq!(t.peek(), None);
+        t.arm(0, key(1.0, 1));
+        t.arm(2, key(2.0, 2));
+        t.empty(0);
+        t.empty(1);
+        assert_eq!(drain(&mut t), [(2, 2.0)]);
+        assert_eq!(t.peek(), None);
+    }
+
+    #[test]
+    fn every_slot_fires_in_key_order_at_any_width() {
+        for n in [1, 5, 16, 65] {
+            let mut t = Timers::new(n);
+            // Times descend with the slot, and every third slot shares a
+            // time with its neighbour, so both halves of the key decide.
+            let mut expect: Vec<(u128, usize)> = (0..n)
+                .map(|slot| (key(((n - slot) / 3) as f64, slot as u64), slot))
+                .collect();
+            for &(k, slot) in &expect {
+                t.arm(slot, k);
+            }
+            expect.sort();
+            let fired: Vec<usize> = drain(&mut t).into_iter().map(|(s, _)| s).collect();
+            let want: Vec<usize> = expect.into_iter().map(|(_, s)| s).collect();
+            assert_eq!(fired, want, "n = {n}");
+        }
+    }
+
+    /// The slots against the queue they replace: a heap of every timer ever
+    /// armed, tagged with its slot's generation, that drops a timer unseen
+    /// once its slot was re-armed or emptied. Random arm / re-arm / empty /
+    /// fire sequences must fire the same timers in the same order.
+    #[test]
+    fn timer_slots_fire_in_the_order_of_a_stale_dropping_heap() {
+        for (seed, n) in [(1, 1), (2, 3), (3, 16), (4, 65)] {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut slots = Timers::new(n);
+            let mut heap = BinaryHeap::new();
+            let mut gen = vec![0u64; n];
+            let (mut now, mut seq) = (0.0, 0);
+            let mut fired = 0;
+            for _ in 0..20_000 {
+                match rng.below(8) {
+                    // Arm or re-arm; few distinct delays, so times tie.
+                    0..=3 => {
+                        let slot = rng.below(n);
+                        seq += 1;
+                        let k = key(now + 0.05 * rng.below(4) as f64, seq);
+                        slots.arm(slot, k);
+                        gen[slot] += 1;
+                        heap.push(Reverse((k, slot, gen[slot])));
+                    }
+                    4 => {
+                        let slot = rng.below(n);
+                        slots.empty(slot);
+                        gen[slot] += 1;
+                    }
+                    _ => {
+                        while let Some(&Reverse((_, slot, g))) = heap.peek() {
+                            if g == gen[slot] {
+                                break;
+                            }
+                            heap.pop();
+                        }
+                        let want = heap.pop().map(|Reverse((k, slot, _))| (k, slot));
+                        assert_eq!(slots.peek(), want, "seed {seed}");
+                        if let Some((k, slot)) = want {
+                            slots.empty(slot);
+                            gen[slot] += 1;
+                            now = key_time(k).as_f64();
+                            fired += 1;
+                        }
+                    }
+                }
+            }
+            assert!(fired > 1_000, "seed {seed}: only {fired} firings");
+        }
     }
 }

@@ -70,6 +70,8 @@ pub struct SweepCore {
     /// Causal tags of deliveries folded into `view` since the last recorded
     /// event; drained into that event's predecessor list.
     pending_tags: Vec<EventId>,
+    /// Scratch for the enabled actions of one position.
+    actions: Vec<ActionId>,
     /// Deliveries discarded because no honest neighbour can have sent them:
     /// a state outside the program's variable domains, or a position this
     /// process does not hear about — forged gossip convicted by inspection.
@@ -105,6 +107,7 @@ impl SweepCore {
             seq,
             recorder,
             pending_tags: Vec::new(),
+            actions: Vec::new(),
             forged_dropped: 0,
             program,
         }
@@ -140,6 +143,34 @@ impl SweepCore {
                 new: new.cp,
             });
         }
+    }
+
+    /// The first enabled guarded command over the owned positions, in
+    /// position order and then in the order `RECV, WORK, T3, T4, T5`: one
+    /// fused [`Protocol::enabled_actions`] pass per position, which lists
+    /// the enabled actions ascending, and its first action up to `T5`.
+    /// `POSTWORK` is not the core's to fire.
+    fn pick(&mut self) -> Option<(Pos, ActionId)> {
+        let owned = self.program.dag().positions_of(self.pid);
+        let picked = owned.iter().find_map(|&p| {
+            self.program
+                .enabled_actions(&self.view, p, &mut self.actions);
+            self.actions.first().filter(|&&a| a <= T5).map(|&a| (p, a))
+        });
+        debug_assert_eq!(picked, self.scan(), "fused pass disagrees with the guards");
+        picked
+    }
+
+    /// [`SweepCore::pick`] by testing the guards one at a time: the
+    /// reference the fused pass must equal.
+    fn scan(&self) -> Option<(Pos, ActionId)> {
+        let owned = self.program.dag().positions_of(self.pid);
+        owned.iter().find_map(|&p| {
+            [RECV, WORK, T3, T4, T5]
+                .into_iter()
+                .find(|&a| self.program.enabled(&self.view, p, a))
+                .map(|a| (p, a))
+        })
     }
 
     /// Execute the enabled `action` at owned position `p`.
@@ -230,14 +261,7 @@ impl Process for SweepCore {
     /// phase body (`WORK`) is the driver's to run: reaching it stops the
     /// scan with [`Process::needs_work`] set.
     fn step(&mut self, now: Time) -> Step {
-        let owned = self.program.dag().positions_of(self.pid);
-        let enabled = owned.iter().find_map(|&p| {
-            [RECV, WORK, T3, T4, T5]
-                .into_iter()
-                .find(|&a| self.program.enabled(&self.view, p, a))
-                .map(|a| (p, a))
-        });
-        match enabled {
+        match self.pick() {
             None | Some((_, WORK)) => Step::Idle,
             Some((p, action)) => self.fire(p, action, now),
         }
@@ -281,6 +305,7 @@ impl Process for SweepCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftbarrier_core::sweep::POSTWORK;
     use ftbarrier_core::{Cp, Sn};
 
     fn core_on(dag: SweepDag, pid: usize) -> SweepCore {
@@ -382,6 +407,90 @@ mod tests {
         c.absorb(ok(3, moved()), None);
         assert_eq!(c.forged_dropped, 1);
         assert_eq!(c.view[3], PosState::start());
+    }
+
+    /// One fused `enabled_actions` pass per position picks the same
+    /// guarded command as testing the guards one at a time, and `step` fires
+    /// exactly it: from arbitrary states of every owned and neighbouring
+    /// position, on four topologies, strict and fuzzy.
+    #[test]
+    fn the_fused_pass_picks_what_the_per_guard_scan_picks() {
+        let dags = [
+            SweepDag::ring(6),
+            SweepDag::tree(7, 2),
+            SweepDag::dissemination(8, 2),
+            SweepDag::butterfly(8),
+        ];
+        let mut picked = [0u32; 5];
+        let mut idle = 0;
+        for dag in dags.map(Result::unwrap) {
+            let strict = SweepBarrier::new(dag, 8);
+            let fuzzy = strict
+                .clone()
+                .with_fuzzy_split(Time::new(0.5), Time::new(0.5));
+            for program in [strict, fuzzy].map(Arc::new) {
+                let links = subscriptions(program.dag());
+                let mut rng = SimRng::seed_from_u64(11);
+                for pid in 0..program.dag().num_processes() {
+                    let core = || {
+                        let seq = Arc::new(AtomicU64::new(0));
+                        let rec = CausalRecorder::off();
+                        SweepCore::new(Arc::clone(&program), pid, &links, 3, seq, rec)
+                    };
+                    let (mut c, mut reference) = (core(), core());
+                    for _ in 0..300 {
+                        for p in 0..c.view.len() {
+                            c.view[p] = program.arbitrary_state(p, &mut rng);
+                        }
+                        reference.view.clone_from(&c.view);
+                        let scanned = c.scan();
+                        assert_eq!(c.pick(), scanned);
+                        match scanned {
+                            None => idle += 1,
+                            Some((_, a)) => picked[a] += 1,
+                        }
+                        match scanned {
+                            None | Some((_, WORK)) => assert_eq!(c.step(Time::ZERO), Step::Idle),
+                            Some((p, a)) => {
+                                let want = reference.fire(p, a, Time::ZERO);
+                                assert_eq!(c.step(Time::ZERO), want);
+                            }
+                        }
+                        assert_eq!(c.view, reference.view);
+                    }
+                }
+            }
+        }
+        assert!(
+            idle > 0 && picked.iter().all(|&k| k > 0),
+            "{picked:?}, {idle} idle"
+        );
+    }
+
+    /// In the fuzzy split, `POSTWORK` is enabled but is not the core's to
+    /// fire: a position where it is the only enabled action leaves the
+    /// process idle.
+    #[test]
+    fn postwork_alone_leaves_the_process_idle() {
+        let program = SweepBarrier::new(SweepDag::ring(4).unwrap(), 8)
+            .with_fuzzy_split(Time::new(0.5), Time::new(0.5));
+        let links = subscriptions(program.dag());
+        let mut c = SweepCore::new(
+            Arc::new(program),
+            1,
+            &links,
+            7,
+            Arc::new(AtomicU64::new(0)),
+            CausalRecorder::off(),
+        );
+        c.view[1].post = false;
+        let mut enabled = Vec::new();
+        c.program.enabled_actions(&c.view, 1, &mut enabled);
+        assert_eq!(enabled, [POSTWORK]);
+        let before = c.view.clone();
+        assert_eq!(c.step(Time::ZERO), Step::Idle);
+        assert_eq!(c.view, before);
+        assert!(!c.needs_work());
     }
 
     #[test]

@@ -125,7 +125,7 @@ where
                 let mut now = Time::new(clock.now());
                 let mut last_gossip = now;
                 let mut resend = Resend::new(spec.retransmit_every);
-                let (mut due, _) = resend.changed();
+                let mut due = resend.changed();
                 let mut sent = core.gossip(&mut ep);
                 let mut fault_stopped = false;
                 while !stop.load(Ordering::Acquire) {
@@ -148,7 +148,7 @@ where
                             apply(&mut core, now);
                             sent += core.gossip(&mut ep);
                             last_gossip = now;
-                            due = resend.changed().0;
+                            due = resend.changed();
                         }
                     }
                     // The pump reads the clock after it drains the port, so
@@ -179,7 +179,7 @@ where
                     if out.moved {
                         sent += core.gossip(&mut ep);
                         last_gossip = now;
-                        due = resend.changed().0;
+                        due = resend.changed();
                     } else if now.saturating_sub(last_gossip) >= due {
                         // The link went quiet: release any reorder-held message
                         // and resend. The heartbeat event keeps live processes
@@ -188,7 +188,7 @@ where
                         core.record_heartbeat(now);
                         sent += core.gossip(&mut ep);
                         last_gossip = now;
-                        due = resend.resent().0;
+                        due = resend.resent();
                     } else {
                         std::thread::yield_now();
                     }

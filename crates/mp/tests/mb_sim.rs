@@ -385,10 +385,10 @@ fn ring16_loss0_messages_split_into_resends_and_movement() {
         for (i, &from) in times.iter().enumerate() {
             let until = times.get(i + 1).copied().unwrap_or(end);
             let mut r = Resend::new(Time::new(cfg.retransmit_every));
-            let mut at = from + r.changed().0.as_f64();
+            let mut at = from + r.changed().as_f64();
             while at < until {
                 resends += 1;
-                at += r.resent().0.as_f64();
+                at += r.resent().as_f64();
             }
         }
     }
@@ -668,10 +668,10 @@ fn crashed_process_is_suspected_exactly_one_deadline_after_it_was_last_heard() {
     // Replay its resend schedule up to the crash: the last resend it sent,
     // one link latency later, is the last the root heard of it.
     let mut r = Resend::new(Time::new(cfg.retransmit_every));
-    let (mut sent, mut next) = (0.02, 0.02 + r.changed().0.as_f64());
+    let (mut sent, mut next) = (0.02, 0.02 + r.changed().as_f64());
     while next < 3.0 {
         sent = next;
-        next += r.resent().0.as_f64();
+        next += r.resent().as_f64();
     }
     let heard = sent + 0.01;
     let resends = (cc.suspect_after / cfg.retransmit_every).round() as u32;
